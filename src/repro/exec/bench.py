@@ -1,23 +1,14 @@
 """Machine-tracked performance benchmark → ``BENCH_exec.json``.
 
-Nine measurements, deliberately simple so their trajectory is
-comparable across PRs (report ``schema: 6``):
+Seven measurements, deliberately simple so their trajectory is
+comparable across PRs (report ``schema: 7``):
 
 * **engine** — raw event-loop throughput (events/second) on a synthetic
   workload of self-rescheduling timers plus cancel churn, exercising the
   heap's lazy-deletion path the way ``Container`` does;
-* **engine_density** (schema 4) — the heap vs calendar-queue scheduler
-  head-to-head at three pending-event densities (the regime where the
-  heap's O(log n) Python-level comparisons bite), reported as
-  events/second per scheduler plus the ``calendar`` speedup factor;
-* **arrival_gen** (schema 4) — arrival-timestamp generation throughput,
-  scalar ``RateSchedule.advance`` loop vs the vectorized
-  :meth:`RateSchedule.advance_batch` over the same spiky schedule;
-* **users** (schema 4) — the headline ``users_per_wall_second`` row:
-  open-loop end-to-end requests simulated per wall-clock second on the
-  standard chain cell, under the fastest engine configuration
-  (calendar scheduler + chunked arrivals) with the heap/scalar baseline
-  alongside;
+* **users** (schema 4; one engine since schema 7) — the headline
+  ``users_per_wall_second`` row: open-loop end-to-end requests simulated
+  per wall-clock second on the standard chain cell;
 * **packet_path** — packets/second through the real delivery path
   (``Network.send`` → ``_deliver`` with FirstResponder's RX hook
   installed and a per-packet slack check running), i.e. the per-RPC-hop
@@ -60,8 +51,7 @@ Run ``python -m repro.exec.bench`` from the repo root; it writes
 to fold the previous report into a per-commit ``history`` list (capped
 at the last :data:`HISTORY_MAX` entries) instead of overwriting it.  CI
 runs the smoke variant (``tests/exec/test_bench.py``) which asserts
-conservative events/second, packets/second, calendar-speedup, and
-users/second floors plus the schema-3 allocation ceilings so
+conservative events/second, packets/second, and users/second floors plus the schema-3 allocation ceilings so
 catastrophic regressions fail the build.
 """
 
@@ -82,10 +72,8 @@ from repro.sim.engine import Simulator
 
 __all__ = [
     "append_history",
-    "bench_arrival_gen",
     "bench_cell",
     "bench_engine",
-    "bench_engine_density",
     "bench_lb_dispatch",
     "bench_memory",
     "bench_packet_path",
@@ -101,17 +89,6 @@ DEFAULT_EVENTS = 300_000
 #: Default packet count for the packet-path measurement.
 DEFAULT_PACKETS = 100_000
 
-#: Pending-event counts for the scheduler density sweep: the paper-scale
-#: regime, the surge regime, and the million-user regime where heap
-#: comparisons dominate.
-DENSITY_REGIMES = (64, 4096, 131072)
-
-#: Default fired events per scheduler per density regime.
-DEFAULT_DENSITY_EVENTS = 200_000
-
-#: Default timestamps for the arrival-generation measurement.
-DEFAULT_ARRIVALS = 200_000
-
 #: Default end-to-end requests for the users_per_wall_second row.
 DEFAULT_USERS = 20_000
 
@@ -120,12 +97,6 @@ DEFAULT_USERS = 20_000
 #: single-shot rates on the dev host span 127k–171k ev/s, so even the
 #: noisiest observation keeps >2× headroom over this floor.
 ENGINE_FLOOR_EPS = 60_000.0
-
-#: Floor on the calendar/heap speedup at the highest density regime.
-#: The committed report shows ≥1.5× on an idle core; the CI floor backs
-#: off to absorb shared-runner noise while still requiring that the
-#: calendar queue *wins* where it is supposed to.
-CALENDAR_SPEEDUP_FLOOR = 1.2
 
 #: Floor on the headline users_per_wall_second row (end-to-end requests
 #: simulated per wall-clock second; the dev-core number is >10k).
@@ -228,147 +199,15 @@ def _noop() -> None:
     pass
 
 
-@contextlib.contextmanager
-def _sched_env(mode: str) -> Iterator[None]:
-    """Temporarily force ``REPRO_SCHED`` for simulators built inside.
-
-    The scheduler switch is read at ``Simulator`` construction time (see
-    :mod:`repro.sim.calqueue`), so wrapping only the construction is
-    enough to compare both schedulers in one process.
-    """
-    before = os.environ.get("REPRO_SCHED")
-    os.environ["REPRO_SCHED"] = mode
-    try:
-        yield
-    finally:
-        if before is None:
-            del os.environ["REPRO_SCHED"]
-        else:
-            os.environ["REPRO_SCHED"] = before
-
-
-@contextlib.contextmanager
-def _arrivals_env(mode: str) -> Iterator[None]:
-    """Temporarily force ``REPRO_ARRIVALS`` for clients built inside."""
-    before = os.environ.get("REPRO_ARRIVALS")
-    os.environ["REPRO_ARRIVALS"] = mode
-    try:
-        yield
-    finally:
-        if before is None:
-            del os.environ["REPRO_ARRIVALS"]
-        else:
-            os.environ["REPRO_ARRIVALS"] = before
-
-
-def _density_rate(mode: str, pending: int, n_events: int) -> float:
-    """Events/second for one scheduler at one steady pending density.
-
-    ``pending`` self-rescheduling timers with smoothly-spread delays (a
-    multiplicative-hash fraction, so the pending set has no artificial
-    time lattice) tick forever; the measured segment fires ``n_events``.
-    This isolates scheduler push/pop cost at a *stable* density — the
-    regime the heap's O(log n) Python-level comparisons scale with and
-    the calendar queue's O(1) arithmetic does not.
-    """
-    with _sched_env(mode):
-        sim = Simulator()
-    schedule = sim.schedule
-
-    def tick(k: int) -> None:
-        d = 1e-4 * (1.0 + 6.0 * ((k * 2654435761) % 1048576) / 1048576.0)
-        schedule(d, tick, k + 1)
-
-    for i in range(pending):
-        d0 = 1e-4 * (1.0 + 6.0 * ((i * 2654435761) % 1048576) / 1048576.0)
-        schedule(d0, tick, i * 7919)
-    t0 = time.perf_counter()
-    sim.run(max_events=n_events)
-    dt = time.perf_counter() - t0
-    return sim.events_fired / dt if dt > 0 else float("inf")
-
-
-def bench_engine_density(
-    n_events: int = DEFAULT_DENSITY_EVENTS,
-    regimes: Iterable[int] = DENSITY_REGIMES,
-) -> dict:
-    """Heap vs calendar scheduler throughput across pending densities."""
-    if n_events < 1:
-        raise ValueError("n_events must be >= 1")
-    rows = []
-    for pending in regimes:
-        heap_eps = _density_rate("heap", pending, n_events)
-        cal_eps = _density_rate("calendar", pending, n_events)
-        rows.append(
-            {
-                "pending": pending,
-                "events": n_events,
-                "heap_events_per_sec": heap_eps,
-                "calendar_events_per_sec": cal_eps,
-                "calendar_speedup": cal_eps / heap_eps,
-            }
-        )
-    return {"regimes": rows, "high_density_speedup": rows[-1]["calendar_speedup"]}
-
-
-def bench_arrival_gen(n_arrivals: int = DEFAULT_ARRIVALS) -> dict:
-    """Arrival-timestamp generation: scalar ``advance`` loop vs batch.
-
-    Both paths invert the same spiky schedule over the same Poisson unit
-    draws; :meth:`RateSchedule.advance_batch` must produce bit-identical
-    timestamps (asserted here — a benchmark that silently diverged from
-    the scalar path would be measuring the wrong thing).
-    """
-    if n_arrivals < 1:
-        raise ValueError("n_arrivals must be >= 1")
-    import numpy as np
-
-    from repro.workload.arrivals import RateSchedule
-
-    # Spikes cover the whole horizon the arrivals can reach (~n/rate
-    # seconds), so the batch path keeps paying segment-boundary splits.
-    horizon = 2.0 * n_arrivals / 1000.0 + 10.0
-    sched = RateSchedule.periodic(
-        1000.0, magnitude=1.75, spike_len=1.0, period=5.0, first=2.0,
-        until=horizon,
-    )
-    units = np.random.default_rng(7).exponential(1.0, size=n_arrivals)
-
-    t0 = time.perf_counter()
-    advance = sched.advance
-    cur = 0.0
-    scalar_times = []
-    append = scalar_times.append
-    for u in units.tolist():
-        cur = advance(cur, u)
-        append(cur)
-    scalar_dt = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    batch_times = sched.advance_batch(0.0, units)
-    batch_dt = time.perf_counter() - t0
-
-    if not np.array_equal(np.asarray(scalar_times), batch_times):
-        raise AssertionError("advance_batch diverged from scalar advance")
-    scalar_aps = n_arrivals / scalar_dt if scalar_dt > 0 else float("inf")
-    batch_aps = n_arrivals / batch_dt if batch_dt > 0 else float("inf")
-    return {
-        "arrivals": n_arrivals,
-        "scalar_arrivals_per_sec": scalar_aps,
-        "batch_arrivals_per_sec": batch_aps,
-        "batch_speedup": batch_aps / scalar_aps,
-    }
-
-
-def _users_rate(
-    n_requests: int, *, sched_mode: str, arrivals_mode: str
-) -> float:
-    """End-to-end open-loop requests simulated per wall-clock second.
+def bench_users(n_requests: int = DEFAULT_USERS) -> dict:
+    """The headline row: open-loop users simulated per wall second.
 
     The standard chain app under a steady rate sized so the cluster
     keeps up, driven through the full ingress → RPC-tree → completion
-    path.  One configuration knob pair selects the engine tier.
+    path.
     """
+    if n_requests < 1:
+        raise ValueError("n_requests must be >= 1")
     from repro.cluster.cluster import Cluster, ClusterConfig
     from repro.services.registry import get_workload
     from repro.sim.rng import RngRegistry
@@ -376,39 +215,26 @@ def _users_rate(
     from repro.workload.generator import OpenLoopClient
 
     workload = get_workload("chain")
-    with _sched_env(sched_mode):
-        sim = Simulator()
+    sim = Simulator()
     cluster = Cluster(
         sim, workload.build(), ClusterConfig(n_nodes=1), RngRegistry(3)
     )
     rate = workload.base_rate
-    with _arrivals_env(arrivals_mode):
-        client = OpenLoopClient(
-            sim,
-            cluster,
-            RateSchedule(rate),
-            duration=n_requests / rate,
-            pacing="poisson",
-            rng=RngRegistry(11).stream("client"),
-        )
+    client = OpenLoopClient(
+        sim,
+        cluster,
+        RateSchedule(rate),
+        duration=n_requests / rate,
+        pacing="poisson",
+        rng=RngRegistry(11).stream("client"),
+    )
     client.begin()
     t0 = time.perf_counter()
     sim.run(until=n_requests / rate + 1.0)
     dt = time.perf_counter() - t0
-    return client.stats.sent / dt if dt > 0 else float("inf")
-
-
-def bench_users(n_requests: int = DEFAULT_USERS) -> dict:
-    """The headline row: open-loop users simulated per wall second."""
-    if n_requests < 1:
-        raise ValueError("n_requests must be >= 1")
-    baseline = _users_rate(n_requests, sched_mode="heap", arrivals_mode="scalar")
-    fast = _users_rate(n_requests, sched_mode="calendar", arrivals_mode="chunked")
     return {
         "requests": n_requests,
-        "baseline_users_per_wall_second": baseline,
-        "users_per_wall_second": fast,
-        "speedup": fast / baseline,
+        "users_per_wall_second": client.stats.sent / dt if dt > 0 else float("inf"),
     }
 
 
@@ -815,8 +641,6 @@ def run_benchmarks(
     *,
     n_events: int = DEFAULT_EVENTS,
     n_packets: int = DEFAULT_PACKETS,
-    n_density_events: int = DEFAULT_DENSITY_EVENTS,
-    n_arrivals: int = DEFAULT_ARRIVALS,
     n_users: int = DEFAULT_USERS,
     n_lb_dispatches: int = DEFAULT_LB_DISPATCHES,
     sharded_duration: float = DEFAULT_SHARDED_DURATION,
@@ -827,9 +651,9 @@ def run_benchmarks(
     skip_memory: bool = False,
     skip_sharded: bool = False,
 ) -> dict:
-    """Run all measurements and return the report dict (schema 6)."""
+    """Run all measurements and return the report dict (schema 7)."""
     report = {
-        "schema": 6,
+        "schema": 7,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "machine": {
             "cpu_count": os.cpu_count(),
@@ -837,8 +661,6 @@ def run_benchmarks(
             "python": sys.version.split()[0],
         },
         "engine": bench_engine(n_events, best_of=best_of),
-        "engine_density": bench_engine_density(n_density_events),
-        "arrival_gen": bench_arrival_gen(n_arrivals),
         "users": bench_users(n_users),
         "packet_path": bench_packet_path(n_packets, best_of=best_of),
         "lb_dispatch": bench_lb_dispatch(n_lb_dispatches),
@@ -927,15 +749,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         help=f"packet-path packets (default {DEFAULT_PACKETS})",
     )
     parser.add_argument(
-        "--density-events", type=int, default=DEFAULT_DENSITY_EVENTS,
-        help="fired events per scheduler per density regime "
-             f"(default {DEFAULT_DENSITY_EVENTS})",
-    )
-    parser.add_argument(
-        "--arrivals", type=int, default=DEFAULT_ARRIVALS,
-        help=f"arrival-generation timestamps (default {DEFAULT_ARRIVALS})",
-    )
-    parser.add_argument(
         "--users", type=int, default=DEFAULT_USERS,
         help=f"end-to-end requests for the users row (default {DEFAULT_USERS})",
     )
@@ -986,8 +799,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     report = run_benchmarks(
         n_events=args.events,
         n_packets=args.packets,
-        n_density_events=args.density_events,
-        n_arrivals=args.arrivals,
         n_users=args.users,
         n_lb_dispatches=args.lb_dispatches,
         sharded_duration=args.sharded_duration,
@@ -1007,19 +818,8 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     eng = report["engine"]
     print(f"engine: {eng['events']} events in {eng['seconds']:.3f}s "
           f"= {eng['events_per_sec']:,.0f} ev/s")
-    for row in report["engine_density"]["regimes"]:
-        print(f"density pending={row['pending']:>6}: "
-              f"heap {row['heap_events_per_sec']:,.0f} ev/s vs "
-              f"calendar {row['calendar_events_per_sec']:,.0f} ev/s "
-              f"({row['calendar_speedup']:.2f}x)")
-    arr = report["arrival_gen"]
-    print(f"arrivals: scalar {arr['scalar_arrivals_per_sec']:,.0f}/s vs "
-          f"batch {arr['batch_arrivals_per_sec']:,.0f}/s "
-          f"({arr['batch_speedup']:.1f}x)")
     users = report["users"]
-    print(f"users:  {users['users_per_wall_second']:,.0f} users/wall-s "
-          f"(baseline {users['baseline_users_per_wall_second']:,.0f}, "
-          f"{users['speedup']:.2f}x)")
+    print(f"users:  {users['users_per_wall_second']:,.0f} users/wall-s")
     pkt = report["packet_path"]
     print(f"packet: {pkt['packets']} packets in {pkt['seconds']:.3f}s "
           f"= {pkt['packets_per_sec']:,.0f} pkt/s")

@@ -10,17 +10,14 @@ Simulated time is a ``float`` in **seconds**.  The engine is agnostic to
 units, but the whole code base sticks to seconds / Hz / cycles.
 """
 
-from repro.sim.calqueue import CalendarQueue, sched_mode
 from repro.sim.engine import EventHandle, Simulator, SimulationError
 from repro.sim.rng import RngRegistry
 from repro.sim.process import PeriodicProcess
 
 __all__ = [
-    "CalendarQueue",
     "EventHandle",
     "PeriodicProcess",
     "RngRegistry",
     "SimulationError",
     "Simulator",
-    "sched_mode",
 ]

@@ -4,14 +4,10 @@ Design notes
 ------------
 * Events are totally ordered by ``(time, seq)``, which gives deterministic
   FIFO ordering for simultaneous events — essential for reproducibility of
-  the experiment protocol (17 seeded repetitions, trim, average).  Two
-  interchangeable schedulers realize that order: the default binary heap,
-  and a calendar queue (``REPRO_SCHED=calendar``, read at construction
-  time like the recycling switches) that beats the heap at high pending
-  densities by replacing O(log n) Python-level ``__lt__`` calls with O(1)
-  bucket arithmetic — see :mod:`repro.sim.calqueue` and DESIGN.md §9.
-  Because both structures pop the exact same total order, every committed
-  golden fingerprint is bit-identical under either.
+  the experiment protocol (17 seeded repetitions, trim, average).  The
+  scheduler is one binary heap of ``(time, seq, handle)`` tuples: ``seq``
+  is unique, so ``heapq`` orders entries with C-level tuple comparisons
+  and never compares two handles (DESIGN.md §9).
 * Events are *cancellable*: :meth:`Simulator.schedule` returns an
   :class:`EventHandle`; cancelled handles stay in the heap and are skipped
   on pop (the standard "lazy deletion" trick).  Re-scheduling a container's
@@ -39,7 +35,6 @@ import math
 import sys
 from typing import Any, Callable, Optional
 
-from repro.sim.calqueue import CalendarQueue, sched_mode
 from repro.sim.recycle import pool_enabled
 
 __all__ = ["EventHandle", "Simulator", "SimulationError"]
@@ -70,22 +65,23 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Cancel the event.  Idempotent; cancelling a fired event is a no-op."""
-        if not self.cancelled and self.fn is not None and self.owner is not None:
-            self.owner._note_cancel()
+        owner = self.owner
+        live = not self.cancelled and self.fn is not None
         self.cancelled = True
         # Drop references so a cancelled handle retained by user code does not
         # keep a whole object graph alive until the heap drains.
         self.fn = None
         self.args = ()
         self.owner = None
+        # Only now, so a compaction this cancel triggers already sees the
+        # entry as dead and drops it along with the count it resets.
+        if live and owner is not None:
+            owner._note_cancel()
 
     @property
     def active(self) -> bool:
         """True while the event is scheduled and not yet fired or cancelled."""
         return not self.cancelled and self.fn is not None
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "active"
@@ -114,7 +110,6 @@ class Simulator:
     __slots__ = (
         "_now",
         "_heap",
-        "_cal",
         "_seq",
         "_running",
         "_fired_count",
@@ -130,13 +125,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[EventHandle] = []
-        # Scheduler selection (``REPRO_SCHED``), frozen at construction:
-        # ``None`` keeps the binary heap above, a CalendarQueue replaces
-        # it wholesale (the heap list then stays empty forever).
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if sched_mode() == "calendar" else None
-        )
+        #: ``(time, seq, handle)`` entries; ``seq`` is unique, so tuple
+        #: comparison never reaches the handle.
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._running = False
         self._fired_count = 0
@@ -169,13 +160,7 @@ class Simulator:
     @property
     def events_pending(self) -> int:
         """Number of pending entries, *including* lazily-cancelled ones."""
-        cal = self._cal
-        return len(self._heap) if cal is None else len(cal)
-
-    @property
-    def scheduler(self) -> str:
-        """Active scheduler: ``"heap"`` or ``"calendar"``."""
-        return "heap" if self._cal is None else "calendar"
+        return len(self._heap)
 
     @property
     def handles_recycled(self) -> int:
@@ -192,11 +177,10 @@ class Simulator:
         """Number of *live* (not lazily-cancelled) pending events.
 
         Exact: ``_cancelled_pending`` counts every cancelled entry still
-        sitting in the scheduler.  The validation layer uses this to
-        decide whether a run has fully drained (no in-flight work
-        remains).
+        sitting in the heap.  The validation layer uses this to decide
+        whether a run has fully drained (no in-flight work remains).
         """
-        return self.events_pending - self._cancelled_pending
+        return len(self._heap) - self._cancelled_pending
 
     def next_event_time(self) -> float:
         """Time of the earliest *live* pending event, or ``math.inf``.
@@ -204,36 +188,21 @@ class Simulator:
         The sharded tier's conservative-sync barrier (DESIGN.md §12)
         needs each shard's local horizon between ``run(until=...)``
         windows.  Lazily-cancelled heads are dropped here exactly as the
-        run loops would drop them — with the same bookkeeping and
+        run loop would drop them — with the same bookkeeping and
         handle-recycling — so peeking never perturbs the counters a
         later run would have produced.
         """
+        heap = self._heap
         free = self._free
-        getrefcount = sys.getrefcount
-        cal = self._cal
-        if cal is None:
-            heap = self._heap
-            while heap:
-                head = heap[0]
-                if head.fn is not None:
-                    return head.time
-                heapq.heappop(heap)
-                if head.cancelled:
-                    self._cancelled_pending -= 1
-                    if free is not None and getrefcount(head) == 2:
-                        free.append(head)
-            return math.inf
-        while True:
-            head = cal.pop()
-            if head is None:
-                return math.inf
-            if head.fn is not None:
-                cal.push(head)  # O(1) re-insert, same trick as _run_calendar
-                return head.time
-            if head.cancelled:
-                self._cancelled_pending -= 1
-                if free is not None and getrefcount(head) == 2:
-                    free.append(head)
+        while heap:
+            time, _, handle = heap[0]
+            if handle.fn is not None:
+                return time
+            heapq.heappop(heap)  # a lazily-cancelled head
+            self._cancelled_pending -= 1
+            if free is not None and sys.getrefcount(handle) == 2:
+                free.append(handle)
+        return math.inf
 
     # ------------------------------------------------------------- scheduling
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -252,89 +221,48 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r} (now={self._now!r})"
             )
+        seq = self._seq
         free = self._free
         if free:
             handle = free.pop()
             handle.time = time
-            handle.seq = self._seq
+            handle.seq = seq
             handle.fn = fn
             handle.args = args
             handle.cancelled = False
             handle.owner = self
             self._handles_recycled += 1
         else:
-            handle = EventHandle(time, self._seq, fn, args)
+            handle = EventHandle(time, seq, fn, args)
             handle.owner = self
-        self._seq += 1
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(self._heap, handle)
-        else:
-            cal.push(handle)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def _note_cancel(self) -> None:
         """Bookkeeping hook called by :meth:`EventHandle.cancel`.
 
         Once lazily-cancelled entries both exceed a fixed floor and make
-        up over half the pending set, rebuild the scheduler without them:
-        the container rescheduling pattern can otherwise leave it
-        dominated by dead entries.  Both schedulers use the identical
-        trigger, so compaction fires at the same points in a run.
+        up over half the heap, rebuild it without them: the container
+        rescheduling pattern can otherwise leave it dominated by dead
+        entries.
         """
         self._cancelled_pending += 1
         if self._cancelled_pending < self._COMPACT_MIN:
             return
-        cal = self._cal
-        if cal is not None:
-            if self._cancelled_pending * 2 > len(cal):
-                cal.compact()
-                self._cancelled_pending = 0
-            return
         heap = self._heap
         if self._cancelled_pending * 2 > len(heap):
             # In-place so loops holding a reference to the list stay valid.
-            heap[:] = [h for h in heap if h.fn is not None]
+            heap[:] = [e for e in heap if e[2].fn is not None]
             heapq.heapify(heap)
             self._cancelled_pending = 0
 
     # ---------------------------------------------------------------- running
     def step(self) -> bool:
         """Execute the next pending event.  Returns ``False`` if none remain."""
-        free = self._free
-        getrefcount = sys.getrefcount
-        cal = self._cal
-        heap = self._heap
-        while True:
-            if cal is None:
-                if not heap:
-                    return False
-                handle = heapq.heappop(heap)
-            else:
-                handle = cal.pop()
-                if handle is None:
-                    return False
-            if handle.fn is None:  # fired is impossible here; this means cancelled
-                if handle.cancelled:
-                    self._cancelled_pending -= 1
-                    if free is not None and getrefcount(handle) == 2:
-                        free.append(handle)
-                continue
-            self._now = handle.time
-            fn, args = handle.fn, handle.args
-            handle.fn = None  # mark fired
-            # Cleared unconditionally, not only on the recycle path: a
-            # fired handle someone retained must not pin the callback's
-            # argument graph until GC.
-            handle.args = ()
-            handle.owner = None
-            if self.trace_hook is not None:
-                self.trace_hook(self._now, fn, args)
-            self._fired_count += 1
-            fn(*args)
-            if free is not None and getrefcount(handle) == 2:
-                free.append(handle)
-            return True
+        fired = self._fired_count
+        self.run(max_events=1)
+        return self._fired_count != fired
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
@@ -343,106 +271,67 @@ class Simulator:
         return (even if the last event fired earlier), so back-to-back
         ``run(until=...)`` calls behave like a continuous timeline.
 
-        This is the hot loop of every simulation: each scheduler gets its
-        own inlined loop (rather than delegating to :meth:`step`) so a
-        fired event costs one dequeue plus the handler call.
+        This is the hot loop of every simulation, so a fired event costs
+        one ``heappop`` plus the handler call.  The head that overshoots
+        ``until`` is popped and pushed straight back — the same key, so
+        the pop order is unchanged.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        if self._cal is not None:
-            self._run_calendar(until, max_events)
-        else:
-            self._run_heap(until, max_events)
-        if until is not None and self._now < until:
-            self._now = until
-
-    def _run_heap(self, until: Optional[float], max_events: Optional[int]) -> None:
         budget = math.inf if max_events is None else max_events
+        horizon = math.inf if until is None else until
         heap = self._heap
         heappop = heapq.heappop
         free = self._free
         getrefcount = sys.getrefcount
         try:
             while heap and budget > 0:
-                head = heap[0]
-                if head.fn is None:  # lazily-cancelled entry: drop and rescan
-                    heappop(heap)
-                    if head.cancelled:
-                        self._cancelled_pending -= 1
-                        # ``cancel()`` already cleared fn/args/owner; a
-                        # refcount of 2 (the local + getrefcount's arg)
-                        # proves the canceller dropped its reference too.
-                        if free is not None and getrefcount(head) == 2:
-                            free.append(head)
+                # Unpacked, never bound: once the popped tuple dies the
+                # local ``handle`` is the loop's only reference to it.
+                time, seq, handle = heappop(heap)
+                if handle.fn is None:  # lazily-cancelled entry: drop and rescan
+                    self._cancelled_pending -= 1
+                    # ``cancel()`` already cleared fn/args/owner; a
+                    # refcount of 2 (the local + getrefcount's arg)
+                    # proves the canceller dropped its reference too.
+                    if free is not None and getrefcount(handle) == 2:
+                        free.append(handle)
                     continue
-                if until is not None and head.time > until:
+                if time > horizon:
+                    heapq.heappush(heap, (time, seq, handle))
                     break
-                heappop(heap)
-                self._now = head.time
-                fn, args = head.fn, head.args
-                head.fn = None  # mark fired
-                head.args = ()  # unconditional: see step()
-                head.owner = None
+                self._now = time
+                fn, args = handle.fn, handle.args
+                handle.fn = None  # mark fired
+                # Cleared unconditionally, not only on the recycle path: a
+                # fired handle someone retained must not pin the callback's
+                # argument graph until GC.
+                handle.args = ()
+                handle.owner = None
                 if self.trace_hook is not None:
-                    self.trace_hook(self._now, fn, args)
+                    self.trace_hook(time, fn, args)
                 self._fired_count += 1
                 fn(*args)
                 budget -= 1
-                if free is not None and getrefcount(head) == 2:
-                    free.append(head)
+                # 2 = the local ``handle`` + getrefcount's argument.
+                if free is not None and getrefcount(handle) == 2:
+                    free.append(handle)
         finally:
             self._running = False
-
-    def _run_calendar(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """Calendar-queue twin of :meth:`_run_heap`.
-
-        The calendar queue has no O(1) peek, so the ``until`` boundary is
-        handled by re-inserting the one head that overshoots it — an O(1)
-        append back into the bucket it came from.  The sequence of
-        *dispatched* events (and of dropped lazily-cancelled entries,
-        which both loops discard strictly in pop order up to the first
-        live head past ``until``) is identical to the heap loop's, which
-        keeps ``events_pending`` and the recycling counters bit-identical
-        between schedulers at every observable point.
-        """
-        budget = math.inf if max_events is None else max_events
-        cal = self._cal
-        pop = cal.pop
-        free = self._free
-        getrefcount = sys.getrefcount
-        try:
-            while budget > 0:
-                head = pop()
-                if head is None:
-                    break
-                if head.fn is None:  # lazily-cancelled entry: drop and rescan
-                    if head.cancelled:
-                        self._cancelled_pending -= 1
-                        if free is not None and getrefcount(head) == 2:
-                            free.append(head)
-                    continue
-                if until is not None and head.time > until:
-                    cal.push(head)
-                    break
-                self._now = head.time
-                fn, args = head.fn, head.args
-                head.fn = None  # mark fired
-                head.args = ()  # unconditional: see step()
-                head.owner = None
-                if self.trace_hook is not None:
-                    self.trace_hook(self._now, fn, args)
-                self._fired_count += 1
-                fn(*args)
-                budget -= 1
-                if free is not None and getrefcount(head) == 2:
-                    free.append(head)
-        finally:
-            self._running = False
+        if until is not None and self._now < until:
+            self._now = until
 
     def drain(self) -> None:
-        """Discard all pending events without running them."""
+        """Discard all pending events without running them.
+
+        Every dropped handle is marked dead first, exactly like a fired
+        one, so a later ``cancel()`` on it is the usual no-op and cannot
+        drive :attr:`live_events_pending` below zero.
+        """
+        for _, _, handle in self._heap:
+            handle.fn = None
+            handle.args = ()
+            handle.owner = None
         self._heap.clear()
-        if self._cal is not None:
-            self._cal.clear()
         self._cancelled_pending = 0

@@ -15,8 +15,10 @@ without reloading modules:
   raise or propagate NaN) so a use-after-release surfaces at the point
   of use instead of as silent state corruption.  Event handles need no
   poison mode: a fired handle is only recycled when the interpreter
-  refcount proves nothing else holds it (see ``Simulator.run``), so a
-  handle use-after-release cannot be constructed.
+  refcount proves nothing else holds it — not user code, and not the
+  ``(time, seq, handle)`` heap entry, which the run loop unpacks and
+  lets die before the check (see ``Simulator.run``) — so a handle
+  use-after-release cannot be constructed.
 
 See DESIGN.md §8 ("Allocation discipline") for the release-point rules.
 """

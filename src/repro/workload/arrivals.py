@@ -18,13 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 __all__ = ["RateSchedule", "Spike"]
-
-#: Candidate-arrival block size for :meth:`RateSchedule.advance_batch`:
-#: bounds the re-accumulated tail at segment boundaries.
-_BATCH_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -36,6 +30,10 @@ class Spike:
     rate: float
 
     def __post_init__(self) -> None:
+        for name in ("start", "end", "rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"spike {name} must be finite, got {value!r}")
         if self.end <= self.start:
             raise ValueError(f"empty spike window [{self.start}, {self.end})")
         if self.rate < 0:
@@ -57,6 +55,8 @@ class RateSchedule:
     """
 
     def __init__(self, base_rate: float, spikes: Sequence[Spike] = ()):
+        if not math.isfinite(base_rate):
+            raise ValueError(f"base_rate must be finite, got {base_rate!r}")
         if base_rate < 0:
             raise ValueError("base_rate must be non-negative")
         self.base_rate = float(base_rate)
@@ -160,71 +160,6 @@ class RateSchedule:
                 return math.inf
             cur = seg_end
             i += 1
-
-    def advance_batch(self, t: float, units: np.ndarray) -> np.ndarray:
-        """Vectorized chain of :meth:`advance`: arrival ``j`` advances from
-        arrival ``j-1`` by ``units[j]`` integral units.
-
-        Bit-identical to the scalar loop
-        ``t_j = advance(t_{j-1}, units[j])`` (``t_{-1} = t``), which is
-        what the chunked open-loop client depends on: within one
-        constant-rate segment the scalar recurrence is
-        ``t_j = t_{j-1} + units[j] / rate``, and
-        ``np.add.accumulate`` over ``[cur, units/rate...]`` performs the
-        *same* left-to-right float64 additions the scalar chain does, so
-        the results match to the last bit.  Arrivals whose step crosses a
-        segment boundary (and any landing in a zero-rate segment) are
-        resolved by delegating that one step to the scalar
-        :meth:`advance` — different arithmetic applies there
-        (``remaining -= (seg_end - cur) * rate``), so the batch never
-        re-derives it.  The boundary-fit test ``cand <= seg_end`` mirrors
-        the scalar ``cur + dt_needed <= seg_end`` comparison exactly.
-
-        Candidates are accumulated in blocks of :data:`_BATCH_BLOCK`, so
-        a schedule with many segments costs O(n + segments·block), not
-        O(n·segments).  Splitting the accumulation is free for identity:
-        each block restarts from the exact float64 the previous block
-        ended on, so the addition sequence is unchanged.
-        """
-        units = np.ascontiguousarray(units, dtype=np.float64)
-        if units.ndim != 1:
-            raise ValueError("units must be a 1-D array")
-        n = units.shape[0]
-        if n and float(units.min()) < 0:
-            raise ValueError("units must be non-negative")
-        out = np.empty(n, dtype=np.float64)
-        ends = self._seg_ends
-        rates = self._seg_rates
-        cur = t
-        j = 0
-        while j < n:
-            if cur == math.inf:
-                out[j:] = math.inf
-                break
-            i = bisect_right(ends, cur)
-            seg_end = ends[i]
-            rate = rates[i]
-            if rate > 0.0:
-                # errstate: units/rate can overflow to inf on denormal
-                # rates, exactly as the scalar path's Python division
-                # does (silently); the candidates then simply fail the
-                # fit test and resolve through the scalar fallback.
-                with np.errstate(over="ignore"):
-                    steps = units[j : j + _BATCH_BLOCK] / rate
-                cand = np.add.accumulate(np.concatenate(([cur], steps)))[1:]
-                fits = cand <= seg_end
-                k = cand.shape[0] if bool(fits.all()) else int(fits.argmin())
-                if k:
-                    out[j : j + k] = cand[:k]
-                    cur = float(cand[k - 1])
-                    j += k
-                    continue
-            # Boundary-crossing step (or zero-rate segment): one scalar
-            # advance, then resume batching from wherever it lands.
-            cur = self.advance(cur, float(units[j]))
-            out[j] = cur
-            j += 1
-        return out
 
     def mean_rate(self, t0: float, t1: float) -> float:
         """Average rate over [t0, t1] (for expected-request-count checks)."""

@@ -9,23 +9,13 @@ is what the violation-volume metric integrates.
 inter-arrival 1/rate); ``pacing="poisson"`` draws exponential gaps via
 the unit-rate transform (``advance(t, Exp(1))``).
 
-Arrival generation has two modes (``REPRO_ARRIVALS``, read at client
-construction like ``REPRO_SCHED``): ``scalar`` (default) inverts the
-rate schedule once per arrival from inside the fired event; ``chunked``
-precomputes the next :data:`DEFAULT_CHUNK` arrival timestamps per
-refill via :meth:`RateSchedule.advance_batch` (Poisson unit draws come
-as one block from the same RNG stream, which numpy guarantees is
-bit-identical to sequential scalar draws).  Each arrival still fires as
-its own event, scheduled by its predecessor — exactly the scalar
-chain's event-creation order — so event counts, sequence numbers, and
-therefore the committed golden fingerprints are bit-identical across
-modes; only the per-arrival schedule-inversion and RNG-draw work is
-batched away.
+Each arrival is its own event: the fired arrival inverts the rate
+schedule once (``advance``) to place its successor, so arrival
+generation adds exactly one heap entry per in-flight client.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,24 +27,7 @@ from repro.cluster.packet import RpcPacket
 from repro.metrics.buffers import FloatBuffer
 from repro.workload.arrivals import RateSchedule
 
-__all__ = ["ClientStats", "OpenLoopClient", "arrivals_mode", "DEFAULT_CHUNK"]
-
-#: Arrival timestamps precomputed per refill in chunked mode.
-DEFAULT_CHUNK = 128
-
-
-def arrivals_mode() -> str:
-    """Arrival-generation selection (``REPRO_ARRIVALS``).
-
-    ``"scalar"`` (default) or ``"chunked"``; read at
-    :class:`OpenLoopClient` construction time, never at import time.
-    """
-    raw = os.environ.get("REPRO_ARRIVALS", "").strip().lower()
-    if raw in ("", "scalar"):
-        return "scalar"
-    if raw == "chunked":
-        return "chunked"
-    raise ValueError(f"REPRO_ARRIVALS={raw!r}: expected scalar or chunked")
+__all__ = ["ClientStats", "OpenLoopClient"]
 
 
 @dataclass
@@ -114,10 +87,6 @@ class OpenLoopClient:
     on_complete:
         Optional callback ``(request_index, arrival_t, latency)`` per
         completion — used by figure scripts for live timelines.
-    chunk:
-        Arrival timestamps to precompute per refill.  ``None`` defers to
-        ``REPRO_ARRIVALS`` (scalar mode, or :data:`DEFAULT_CHUNK` when
-        chunked); an explicit size forces chunked generation.
     """
 
     def __init__(
@@ -131,7 +100,6 @@ class OpenLoopClient:
         pacing: str = "uniform",
         rng: Optional[np.random.Generator] = None,
         on_complete: Optional[Callable[[int, float, float], None]] = None,
-        chunk: Optional[int] = None,
     ):
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -139,10 +107,6 @@ class OpenLoopClient:
             raise ValueError(f"unknown pacing {pacing!r}")
         if pacing == "poisson" and rng is None:
             raise ValueError("poisson pacing requires an rng")
-        if chunk is None and arrivals_mode() == "chunked":
-            chunk = DEFAULT_CHUNK
-        if chunk is not None and chunk < 1:
-            raise ValueError("chunk must be a positive size")
         self.sim = sim
         self.cluster = cluster
         self.schedule = schedule
@@ -159,10 +123,6 @@ class OpenLoopClient:
         self._advance = schedule.advance
         self._uniform = pacing == "uniform"
         self._send = cluster.client_sender()
-        self._chunk = chunk
-        self._times: Optional[np.ndarray] = None  # chunked-mode buffer
-        self._times_i = 0
-        self._ones = None if chunk is None or not self._uniform else np.ones(chunk)
 
     def begin(self) -> None:
         """Arm the client (schedules the first arrival)."""
@@ -172,24 +132,19 @@ class OpenLoopClient:
         # wrk2 fires its first request immediately; Poisson pacing draws
         # a fresh exponential gap (memorylessness makes either choice
         # statistically equivalent, the immediate start keeps counts
-        # exactly rate × duration under uniform pacing).  The first
-        # arrival always resolves through the scalar path — chunked mode
-        # starts batching from the second arrival on, which keeps the
-        # RNG draw order aligned with scalar mode from the very first
-        # exponential.
-        first = self.start if self._uniform else self._next_scalar(self.start)
+        # exactly rate × duration under uniform pacing).
+        first = self.start if self._uniform else self._next_arrival(self.start)
         if first < self.end:
-            fire = self._fire if self._chunk is None else self._fire_chunk
-            self.sim.schedule_at(first, fire)
+            self.sim.schedule_at(first, self._fire)
 
-    def _next_scalar(self, frm: float) -> float:
+    def _next_arrival(self, frm: float) -> float:
         """The single draw-and-invert path shared by ``begin``/``_fire``."""
         if self._uniform:
             return self._advance(frm, 1.0)
         return self._advance(frm, float(self.rng.exponential(1.0)))  # type: ignore[union-attr]
 
-    def _inject(self, now: float) -> None:
-        """Record and send one arrival (shared by both firing modes)."""
+    def _fire(self) -> None:
+        now = self.sim.now
         idx = self._next_id
         self._next_id = idx + 1
         stats = self.stats
@@ -207,32 +162,9 @@ class OpenLoopClient:
                 self._make_callback(idx, now),
                 on_error=self._make_error_callback(idx),
             )
-
-    def _fire(self) -> None:
-        now = self.sim.now
-        self._inject(now)
-        nxt = self._next_scalar(now)
+        nxt = self._next_arrival(now)
         if nxt < self.end:
             self.sim.schedule_at(nxt, self._fire)
-
-    def _fire_chunk(self) -> None:
-        now = self.sim.now
-        self._inject(now)
-        times = self._times
-        i = self._times_i
-        if times is None or i >= times.shape[0]:
-            # Refill: block-draw the next ``chunk`` unit gaps and invert
-            # them in one vectorized pass starting from this arrival.
-            if self._uniform:
-                units = self._ones
-            else:
-                units = self.rng.exponential(1.0, size=self._chunk)  # type: ignore[union-attr]
-            times = self._times = self.schedule.advance_batch(now, units)
-            i = 0
-        self._times_i = i + 1
-        nxt = float(times[i])
-        if nxt < self.end:
-            self.sim.schedule_at(nxt, self._fire_chunk)
 
     def _make_callback(self, idx: int, arrival: float):
         def cb(pkt: RpcPacket) -> None:

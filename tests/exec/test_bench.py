@@ -22,9 +22,7 @@ from repro.exec.bench import (
     PACKET_FLOOR_PPS,
     USERS_FLOOR_UPS,
     append_history,
-    bench_arrival_gen,
     bench_engine,
-    bench_engine_density,
     bench_lb_dispatch,
     bench_memory,
     bench_packet_path,
@@ -54,49 +52,11 @@ class TestBenchEngine:
         assert result["pending_at_end"] < 5_000
 
 
-class TestBenchEngineDensity:
-    def test_reports_all_regimes_with_speedups(self):
-        result = bench_engine_density(20_000, regimes=(64, 1024))
-        rows = result["regimes"]
-        assert [r["pending"] for r in rows] == [64, 1024]
-        for row in rows:
-            assert row["events"] == 20_000
-            assert row["heap_events_per_sec"] > 0
-            assert row["calendar_events_per_sec"] > 0
-        assert result["high_density_speedup"] == rows[-1]["calendar_speedup"]
-
-    def test_calendar_wins_at_high_density(self):
-        # The CI gate behind the tentpole claim: at the million-user
-        # density regime the calendar queue must beat the heap by at
-        # least the conservative floor.
-        result = bench_engine_density(150_000, regimes=(131072,))
-        assert result["high_density_speedup"] >= 1.2
-
-    def test_rejects_non_positive_counts(self):
-        with pytest.raises(ValueError):
-            bench_engine_density(0)
-
-
-class TestBenchArrivalGen:
-    def test_batch_is_bit_identical_and_faster(self):
-        # bench_arrival_gen asserts scalar ≡ batch internally; a clean
-        # return therefore certifies bit-identity on 30k Poisson draws.
-        result = bench_arrival_gen(30_000)
-        assert result["arrivals"] == 30_000
-        assert result["scalar_arrivals_per_sec"] > 0
-        assert result["batch_speedup"] >= 1.5
-
-    def test_rejects_non_positive_counts(self):
-        with pytest.raises(ValueError):
-            bench_arrival_gen(0)
-
-
 class TestBenchUsers:
     def test_reports_floor_users_per_wall_second(self):
         result = bench_users(3_000)
         assert result["requests"] == 3_000
         assert result["users_per_wall_second"] >= USERS_FLOOR_UPS
-        assert result["baseline_users_per_wall_second"] > 0
 
     def test_rejects_non_positive_counts(self):
         with pytest.raises(ValueError):
@@ -180,8 +140,6 @@ class TestReport:
     _SMALL = dict(
         n_events=20_000,
         n_packets=5_000,
-        n_density_events=5_000,
-        n_arrivals=5_000,
         n_users=1_000,
         n_lb_dispatches=20_000,
     )
@@ -190,11 +148,11 @@ class TestReport:
         report = run_benchmarks(
             skip_cell=True, skip_memory=True, skip_sharded=True, **self._SMALL
         )
-        assert report["schema"] == 6
+        assert report["schema"] == 7
         assert report["machine"]["cpu_count"] >= 1
         assert report["engine"]["events_per_sec"] > 0
-        assert len(report["engine_density"]["regimes"]) == 3
-        assert report["arrival_gen"]["batch_arrivals_per_sec"] > 0
+        assert "engine_density" not in report
+        assert "arrival_gen" not in report
         assert report["users"]["users_per_wall_second"] > 0
         assert report["packet_path"]["packets_per_sec"] > 0
         lb = report["lb_dispatch"]
@@ -212,8 +170,8 @@ class TestReport:
         assert set(mem) == {"packets", "warmup_packets", "pooled", "unpooled"}
 
     _SMALL_ARGV = [
-        "--events", "20000", "--packets", "5000", "--density-events", "5000",
-        "--arrivals", "5000", "--users", "1000", "--lb-dispatches", "20000",
+        "--events", "20000", "--packets", "5000",
+        "--users", "1000", "--lb-dispatches", "20000",
         "--skip-cell", "--skip-sharded",
     ]
 
@@ -224,15 +182,13 @@ class TestReport:
         )
         assert rc == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 6
+        assert report["schema"] == 7
         assert report["engine"]["events"] == 20_000
         assert report["engine"]["events_per_sec"] >= ENGINE_FLOOR_EPS
         assert report["packet_path"]["packets"] == 5_000
         assert report["packet_path"]["packets_per_sec"] >= PACKET_FLOOR_PPS
         cli_out = capsys.readouterr().out
         assert "engine:" in cli_out
-        assert "density pending=" in cli_out
-        assert "arrivals:" in cli_out
         assert "users:" in cli_out
         assert "packet:" in cli_out
         assert "lb:" in cli_out

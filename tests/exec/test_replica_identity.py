@@ -6,9 +6,8 @@ the one READY replica without consulting the policy, replica 0 keeps the
 bare service name, and placement/budget/RNG streams are constructed
 identically (see ``repro/cluster/loadbalancer.py`` for the determinism
 argument).  These tests pin the contract the hard way — golden cells
-re-run with ``replicas=1`` under every LB policy and every
-scheduler/arrival fast-lane mode must reproduce the committed numbers
-bit-for-bit.
+re-run with ``replicas=1`` under every LB policy must reproduce the
+committed numbers bit-for-bit.
 
 The fault cell matters most: crash-during-surge sends traffic into a
 dead replica, which is exactly where the LB's fail-open health filter
@@ -26,17 +25,6 @@ from repro.validate.fingerprint import fingerprint_diff
 from repro.validate.runner import load_goldens, run_cell_validated
 from repro.validate.scenarios import fault_matrix
 from tests.exec.test_packet_fastlane import GOLDEN, _cell_config
-
-MODES = [
-    ("heap", "scalar"),
-    ("calendar", "chunked"),
-]
-
-
-def _set_modes(monkeypatch, sched: str, arrivals: str) -> None:
-    monkeypatch.setenv("REPRO_SCHED", sched)
-    monkeypatch.setenv("REPRO_ARRIVALS", arrivals)
-
 
 def _run_replicated_golden(key: str, lb_policy: str) -> None:
     want = GOLDEN[key]
@@ -57,10 +45,8 @@ def _run_replicated_golden(key: str, lb_policy: str) -> None:
 
 
 class TestReplicaPassthroughBitIdentical:
-    @pytest.mark.parametrize("sched,arrivals", MODES)
-    def test_golden_holds_with_lb_armed(self, sched, arrivals, monkeypatch):
+    def test_golden_holds_with_lb_armed(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPS", "3")
-        _set_modes(monkeypatch, sched, arrivals)
         _run_replicated_golden("chain", "round_robin")
 
     @pytest.mark.parametrize(
@@ -88,11 +74,7 @@ class TestFaultCellReplicatedBitIdentical:
         assert not out.violations, out.violations
         return cell, out
 
-    @pytest.mark.parametrize("sched,arrivals", MODES)
-    def test_fingerprint_matches_unreplicated_golden(
-        self, sched, arrivals, monkeypatch
-    ):
-        _set_modes(monkeypatch, sched, arrivals)
+    def test_fingerprint_matches_unreplicated_golden(self):
         cell, out = self._outcome()
         golden = load_goldens()[cell.key]
         assert fingerprint_diff(golden, out.fingerprint) == []

@@ -88,15 +88,6 @@ class TestCancellation:
         sim.run()
         assert h.args == ()
 
-    def test_fired_handle_releases_args_under_calendar(self, monkeypatch):
-        from repro.sim.engine import Simulator
-
-        monkeypatch.setenv("REPRO_SCHED", "calendar")
-        sim = Simulator()
-        h = sim.schedule(1.0, lambda _: None, ["payload"])
-        sim.run()
-        assert h.args == ()
-
     def test_active_property(self, sim):
         h = sim.schedule(1.0, lambda: None)
         assert h.active
@@ -172,6 +163,31 @@ class TestRun:
         sim.drain()
         sim.run()
         assert fired == []
+
+    def test_cancel_after_drain_keeps_live_count_exact(self, sim):
+        # Drained handles are dead: cancelling one afterwards must not
+        # count as a pending cancellation, or the live count goes
+        # negative and a later live event reads as "fully drained".
+        h = sim.schedule(1.0, lambda _: None, ["payload"])
+        sim.drain()
+        assert not h.active
+        assert h.args == ()
+        h.cancel()
+        assert sim.live_events_pending == 0
+        sim.schedule(2.0, lambda: None)
+        assert sim.live_events_pending == 1
+        assert sim.events_pending == 1
+
+    def test_step_runs_one_event(self, sim):
+        fired = []
+        sim.schedule(2.0, fired.append, "b")
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(0.5, lambda: None).cancel()
+        assert sim.step() is True
+        assert fired == ["a"] and sim.now == 1.0
+        assert sim.step() is True
+        assert sim.step() is False
+        assert fired == ["a", "b"]
 
     def test_events_fired_counter(self, sim):
         for i in range(5):

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.workload.arrivals import RateSchedule, Spike
@@ -117,56 +116,38 @@ class TestAdvance:
         assert s.advance(t0, total_units) == pytest.approx(t1)
 
 
-class TestAdvanceBatch:
-    """Vectorized inversion must be bit-identical to folding `advance`."""
+class TestNonFiniteRejected:
+    """inf/NaN must fail at construction, naming the offending field:
+    an infinite rate would fire every arrival at t=0 forever, a NaN one
+    silently injects nothing, and a NaN spike edge breaks the bisect
+    table."""
 
-    def _fold(self, sched, t0, units):
-        out, cur = [], t0
-        for u in units:
-            cur = math.inf if cur == math.inf else sched.advance(cur, float(u))
-            out.append(cur)
-        return np.asarray(out)
+    @pytest.mark.parametrize("base", [math.inf, -math.inf, math.nan])
+    def test_base_rate(self, base):
+        with pytest.raises(ValueError, match="base_rate"):
+            RateSchedule(base)
 
-    def test_constant_rate_bit_identical(self):
-        sched = RateSchedule(250.0)
-        units = np.random.default_rng(0).exponential(1.0, size=500)
-        got = sched.advance_batch(3.0, units)
-        assert np.array_equal(got, self._fold(sched, 3.0, units))
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("start", (math.nan, 1.0, 5.0)),
+            ("start", (-math.inf, 1.0, 5.0)),
+            ("end", (0.0, math.nan, 5.0)),
+            ("end", (0.0, math.inf, 5.0)),
+            ("rate", (0.0, 1.0, math.nan)),
+            ("rate", (0.0, 1.0, math.inf)),
+        ],
+    )
+    def test_spike_fields(self, field, args):
+        with pytest.raises(ValueError, match=f"spike {field}"):
+            Spike(*args)
 
-    def test_spiky_schedule_bit_identical(self):
-        # Boundary crossings delegate to the scalar path, so mid-spike
-        # and spike-edge arrivals must still match exactly.
-        sched = RateSchedule(
-            100.0, [Spike(0.5, 1.0, 400.0), Spike(2.0, 2.5, 0.0)]
-        )
-        units = np.random.default_rng(1).exponential(1.0, size=800)
-        got = sched.advance_batch(0.0, units)
-        assert np.array_equal(got, self._fold(sched, 0.0, units))
-
-    def test_exhausted_schedule_pins_tail_at_inf(self):
-        sched = RateSchedule(0.0, [Spike(0.0, 1.0, 10.0)])
-        got = sched.advance_batch(0.0, np.array([5.0, 5.0, 5.0, 2.0]))
-        # The spike's integral is exactly 10 units: the second arrival
-        # lands on its trailing edge, everything after is unreachable.
-        assert got.tolist()[:2] == [0.5, 1.0]
-        assert math.isinf(got[2]) and math.isinf(got[3])
-
-    def test_empty_batch(self):
-        got = RateSchedule(10.0).advance_batch(0.0, np.array([]))
-        assert got.shape == (0,)
-
-    def test_zero_units_stay_at_cursor(self):
-        sched = RateSchedule(10.0)
-        got = sched.advance_batch(1.0, np.array([0.0, 1.0, 0.0]))
-        assert got.tolist() == [1.0, 1.1, 1.1]
-
-    def test_rejects_negative_units(self):
-        with pytest.raises(ValueError):
-            RateSchedule(10.0).advance_batch(0.0, np.array([1.0, -2.0]))
-
-    def test_rejects_non_1d(self):
-        with pytest.raises(ValueError):
-            RateSchedule(10.0).advance_batch(0.0, np.ones((2, 2)))
+    def test_infinite_periodic_magnitude(self):
+        with pytest.raises(ValueError, match="spike rate"):
+            RateSchedule.periodic(
+                10.0, magnitude=math.inf, spike_len=1.0, period=2.0,
+                first=0.0, until=4.0,
+            )
 
 
 class TestMeanRate:

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.workload.arrivals import RateSchedule, Spike
-from repro.workload.generator import DEFAULT_CHUNK, OpenLoopClient, arrivals_mode
+from repro.workload.generator import OpenLoopClient
 from tests.conftest import make_chain_app
 
 
@@ -106,68 +105,6 @@ class TestStats:
     def test_invalid_duration_rejected(self, sim, cluster):
         with pytest.raises(ValueError):
             OpenLoopClient(sim, cluster, RateSchedule(10.0), duration=0.0)
-
-
-class TestChunkedArrivals:
-    """Chunked generation must be bit-identical to the scalar chain."""
-
-    def _arrivals(self, pacing, chunk, sched=None, seed=7):
-        from repro.sim.engine import Simulator
-        from repro.sim.rng import RngRegistry
-
-        sim = Simulator()
-        app = make_chain_app(2, work=0.2e6)
-        cluster = Cluster(
-            sim, app, ClusterConfig(n_nodes=1, cores_per_node=8), RngRegistry(1)
-        )
-        client = OpenLoopClient(
-            sim,
-            cluster,
-            sched if sched is not None else RateSchedule(400.0),
-            duration=1.5,
-            pacing=pacing,
-            rng=RngRegistry(seed).stream("client") if pacing == "poisson" else None,
-            chunk=chunk,
-        )
-        client.begin()
-        sim.run(until=2.5)
-        return np.asarray(client.stats.arrival_times), sim.events_fired
-
-    @pytest.mark.parametrize("pacing", ["uniform", "poisson"])
-    @pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
-    def test_bit_identical_to_scalar(self, pacing, chunk):
-        scalar_t, scalar_events = self._arrivals(pacing, None)
-        chunk_t, chunk_events = self._arrivals(pacing, chunk)
-        assert np.array_equal(scalar_t, chunk_t)
-        # Same event count, not just the same timestamps: each chunked
-        # arrival still fires as its own event, which is what keeps the
-        # golden fingerprints (events_fired is a field) bit-identical.
-        assert scalar_events == chunk_events
-
-    def test_bit_identical_across_spikes(self):
-        sched = RateSchedule(200.0, [Spike(0.4, 0.8, 800.0), Spike(1.0, 1.2, 0.0)])
-        scalar_t, _ = self._arrivals("poisson", None, sched=sched)
-        chunk_t, _ = self._arrivals("poisson", 16, sched=sched)
-        assert np.array_equal(scalar_t, chunk_t)
-
-    def test_env_mode_enables_chunking(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRIVALS", "chunked")
-        assert arrivals_mode() == "chunked"
-        uniform_t, _ = self._arrivals("uniform", None)
-        monkeypatch.setenv("REPRO_ARRIVALS", "scalar")
-        scalar_t, _ = self._arrivals("uniform", None)
-        assert np.array_equal(uniform_t, scalar_t)
-
-    def test_unknown_env_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRIVALS", "simd")
-        with pytest.raises(ValueError, match="REPRO_ARRIVALS"):
-            arrivals_mode()
-
-    def test_invalid_chunk_rejected(self, sim, cluster):
-        with pytest.raises(ValueError):
-            OpenLoopClient(
-                sim, cluster, RateSchedule(10.0), duration=1.0, chunk=0
-            )
 
 
 class _ListStats:
