@@ -19,26 +19,28 @@ This single rule produces all three phenomena the paper's design keys on:
 * **linear frequency scaling** — FirstResponder's fast-path boost shrinks
   service times proportionally.
 
-The implementation is event-driven: job state is lazily advanced on every
-event that can change the sharing rate (arrival, completion, allocation
-or frequency change), and the single pending next-completion event is
-cancelled and re-issued — unless the winning job and shared rate are
-both unchanged, in which case the pending event is provably still exact
-and is kept (the common case for arrivals under ``c ≥ n`` and for pure
-accounting syncs).  All jobs progress at the same rate, so the next
-finisher is simply the job with minimal remaining work — an O(n) scan,
-with n rarely above a few dozen.
+The implementation is event-driven: every event that can change the
+sharing rate (arrival, completion, allocation or frequency change) runs
+one processor-sharing step (:meth:`Container._step`).  It advances job
+state lazily to now and, in the same single pass over the jobs, collects
+the finished ones and picks the next finisher — all jobs progress at the
+same rate, so that is simply the job with minimal remaining work, with n
+rarely above a few dozen.  The single pending next-completion event is
+then cancelled and re-issued — unless the winning job and shared rate
+are both unchanged, in which case the pending event is provably still
+exact and is kept (the common case for arrivals under ``c ≥ n`` and for
+pure accounting syncs).
 
 Energy bookkeeping (allocated core-seconds, busy core-seconds, and the
 f³-weighted busy integral consumed by :class:`repro.cluster.energy.EnergyModel`)
-is folded into the same lazy-advance step so it costs nothing extra.
+is folded into the same step so it costs nothing extra.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.cluster.frequency import DvfsModel
@@ -53,12 +55,13 @@ _EPS_CYCLES = 1e-3
 
 
 class _Job:
-    __slots__ = ("jid", "remaining", "done")
+    __slots__ = ("jid", "remaining", "done", "args")
 
-    def __init__(self, jid: int, remaining: float, done: Callable[[], None]):
+    def __init__(self, jid: int, remaining: float, done: Callable[..., None], args: tuple):
         self.jid = jid
         self.remaining = remaining
         self.done = done
+        self.args = args
 
 
 class Container:
@@ -79,8 +82,6 @@ class Container:
     frequency:
         Initial frequency in Hz; clamped to the DVFS range.
     """
-
-    _ids = itertools.count()
 
     def __init__(
         self,
@@ -108,14 +109,15 @@ class Container:
         self._jid = itertools.count()
         self._last_t = sim.now
         self._next: Optional[EventHandle] = None
+        # Bound once: the completion tick is scheduled on most steps.
+        self._tick = self._on_tick
         #: A reaped replica's container stops accruing alloc/freq
         #: integrals (its cores are returned to the node) until revived.
         self.decommissioned = False
         # Winning job + rate behind the pending next-completion event, so
-        # rescheduling can be skipped when neither changed (see
-        # _reschedule): all jobs burn at the same rate, so an unchanged
-        # (winner, rate) pair means the already-scheduled fire time is
-        # still exact.
+        # rescheduling can be skipped when neither changed (see _step):
+        # all jobs burn at the same rate, so an unchanged (winner, rate)
+        # pair means the already-scheduled fire time is still exact.
         self._next_jid = -1
         self._next_rate = 0.0
 
@@ -167,18 +169,14 @@ class Container:
             raise ValueError(f"container {self.name!r}: cores must be positive")
         if cores == self._cores:
             return
-        self._advance()
-        self._cores = float(cores)
-        self._reschedule()
+        self._step(cores=float(cores))
 
     def set_frequency(self, frequency: float) -> None:
         """Change the DVFS level (controller- or FirstResponder-facing)."""
         f = self.dvfs.clamp(frequency)
         if f == self._freq:
             return
-        self._advance()
-        self._freq = f
-        self._reschedule()
+        self._step(freq=f)
 
     def set_speed_factor(self, factor: float) -> None:
         """Apply or lift execution interference (environment-facing:
@@ -188,9 +186,7 @@ class Container:
             raise ValueError(f"speed factor must be in (0, 1], got {factor!r}")
         if factor == self._speed_factor:
             return
-        self._advance()
-        self._speed_factor = factor
-        self._reschedule()
+        self._step(speed=factor)
 
     # ---------------------------------------------------------------- faults
     def crash(self) -> int:
@@ -203,12 +199,8 @@ class Container:
         killed.  The container object itself survives — a restart is
         just new ``submit()`` traffic.
         """
-        self._advance()
         killed = len(self._jobs)
-        self._jobs.clear()
-        if self._next is not None:
-            self._next.cancel()
-            self._next = None
+        self._step(kill=True)
         self._next_jid = -1
         self._next_rate = 0.0
         self.crashes += 1
@@ -224,10 +216,7 @@ class Container:
         """
         if self._jobs:
             raise RuntimeError(f"decommission of busy container {self.name!r}")
-        self._advance()
-        if self._next is not None:
-            self._next.cancel()
-            self._next = None
+        self._step()  # idle: accrues to now and cancels the pending event
         self._next_jid = -1
         self._next_rate = 0.0
         self.decommissioned = True
@@ -240,18 +229,18 @@ class Container:
         self._last_t = self.sim.now
 
     # -------------------------------------------------------------- compute
-    def submit(self, work_cycles: float, done: Callable[[], None]) -> int:
-        """Start a compute phase of ``work_cycles``; ``done()`` fires on finish.
+    def submit(self, work_cycles: float, done: Callable[..., None], *args: Any) -> int:
+        """Start a compute phase of ``work_cycles``; ``done(*args)`` fires on finish.
 
         Zero-work phases complete via a scheduled zero-delay event (never
         synchronously) so callers can rely on uniform re-entrancy rules.
         """
-        if work_cycles < 0:
-            raise ValueError(f"negative work: {work_cycles!r}")
-        self._advance()
+        if not 0.0 <= work_cycles < math.inf:
+            raise ValueError(
+                f"work_cycles must be finite and non-negative, got {work_cycles!r}"
+            )
         jid = next(self._jid)
-        self._jobs[jid] = _Job(jid, max(work_cycles, 0.0), done)
-        self._reschedule()
+        self._step(_Job(jid, work_cycles, done, args))
         return jid
 
     def sync(self) -> None:
@@ -259,35 +248,31 @@ class Container:
 
         Called by the cluster before reading energy/utilization totals.
         """
-        self._advance()
-        self._reschedule()
+        self._step()
 
     # ------------------------------------------------------------ internals
-    def _advance(self) -> None:
-        """Integrate progress and accounting from ``_last_t`` to now."""
-        now = self.sim.now
-        dt = now - self._last_t
-        if dt < 0:  # pragma: no cover - engine guarantees monotonic time
-            raise RuntimeError("time went backwards")
-        self._last_t = now
-        if dt == 0.0 or self.decommissioned:
-            return
-        n = len(self._jobs)
-        self.alloc_core_seconds += self._cores * dt
-        self.freq_seconds += self._freq * dt
-        if n == 0:
-            return
-        busy = min(float(n), self._cores)
-        self.busy_core_seconds += busy * dt
-        self.busy_weighted_seconds += (
-            busy * (self._freq / self.dvfs.f_max) ** 3 * dt
-        )
-        burned = self._freq * self._speed_factor * min(1.0, self._cores / n) * dt
-        for job in self._jobs.values():
-            job.remaining -= burned
+    def _step(
+        self,
+        job: Optional[_Job] = None,
+        *,
+        cores: Optional[float] = None,
+        freq: Optional[float] = None,
+        speed: Optional[float] = None,
+        kill: bool = False,
+    ) -> None:
+        """One processor-sharing step at the current time.
 
-    def _reschedule(self) -> None:
-        """(Re-)issue the next-completion event after any state change.
+        Integrates progress and accounting from ``_last_t`` to now under
+        the settings in force since then, applies the new ``cores`` /
+        ``freq`` / ``speed`` (``None`` keeps one), admits ``job``, and
+        (re-)issues the next-completion event.  ``kill`` discards every
+        job after the accounting, without firing callbacks.
+
+        A single pass over the jobs burns the progress, collects the
+        finished ones (within epsilon) and picks the winner.  The burn
+        rate is ``_next_rate``: whenever jobs exist it holds the rate the
+        last step computed from the current settings and job count.
+        Subtracting a zero burn leaves every remaining value bit-equal.
 
         Cheap path: when a pending event exists and neither the winning
         job nor the shared progress rate changed (e.g. a new arrival with
@@ -296,55 +281,88 @@ class Container:
         event is still exact — keep it instead of cancel + re-push, which
         otherwise dominates heap churn under load.
         """
+        sim = self.sim
+        now = sim.now
+        dt = now - self._last_t
+        if dt < 0:  # pragma: no cover - engine guarantees monotonic time
+            raise RuntimeError("time went backwards")
+        self._last_t = now
         jobs = self._jobs
-        # Fire completions that are already due (within epsilon).
-        finished: List[_Job] = [
-            j for j in jobs.values() if j.remaining <= _EPS_CYCLES
-        ]
+        burned = 0.0
+        if dt != 0.0 and not self.decommissioned:
+            n = len(jobs)
+            self.alloc_core_seconds += self._cores * dt
+            self.freq_seconds += self._freq * dt
+            if n:
+                busy = min(float(n), self._cores)
+                self.busy_core_seconds += busy * dt
+                self.busy_weighted_seconds += (
+                    busy * (self._freq / self.dvfs.f_max) ** 3 * dt
+                )
+                burned = self._next_rate * dt
+        if cores is not None:
+            self._cores = cores
+        if freq is not None:
+            self._freq = freq
+        if speed is not None:
+            self._speed_factor = speed
+        if kill:
+            jobs.clear()
+
+        finished: List[_Job] = []
+        winner = None
+        min_rem = math.inf
+        for j in jobs.values():
+            rem = j.remaining - burned
+            j.remaining = rem
+            if rem <= _EPS_CYCLES:
+                finished.append(j)
+            elif rem < min_rem:
+                min_rem = rem
+                winner = j
+        if job is not None:
+            # Admitted after the burn: it did no work before now.
+            jobs[job.jid] = job
+            rem = job.remaining
+            if rem <= _EPS_CYCLES:
+                finished.append(job)
+            elif rem < min_rem:
+                min_rem = rem
+                winner = job
         if finished:
-            for j in finished:
-                del jobs[j.jid]
             self.completed_jobs += len(finished)
             # Callbacks may re-enter submit()/set_cores(); schedule the
             # continuation work as zero-delay events to keep a single,
             # predictable re-entrancy discipline.
             for j in finished:
-                self.sim.schedule(0.0, j.done)
+                del jobs[j.jid]
+                sim.schedule_at(now, j.done, *j.args)
+
         pending = self._next
         if not jobs:
             if pending is not None:
                 pending.cancel()
                 self._next = None
             return
-        winner = None
-        min_rem = math.inf
-        for j in jobs.values():
-            if j.remaining < min_rem:
-                min_rem = j.remaining
-                winner = j
-        rate = self.rate_per_job
-        if rate <= 0:  # pragma: no cover - cores/freq are validated positive
-            if pending is not None:
-                pending.cancel()
-                self._next = None
-            return
+        share = self._cores / len(jobs)
+        # Positive: cores, frequency and speed factor are validated positive.
+        rate = self._freq * self._speed_factor * (share if share < 1.0 else 1.0)
         if (
             pending is not None
-            and pending.active
+            and pending.fn is not None
             and self._next_jid == winner.jid
             and self._next_rate == rate
         ):
             return  # the pending event's fire time is unchanged
         if pending is not None:
             pending.cancel()
-        self._next = self.sim.schedule(min_rem / rate, self._on_tick)
+        self._next = sim.schedule_at(now + min_rem / rate, self._tick)
         self._next_jid = winner.jid
         self._next_rate = rate
 
     def _on_tick(self) -> None:
         self._next = None
-        self._advance()
-        self._reschedule()
+        self._step()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

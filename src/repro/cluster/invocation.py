@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.sim.engine import Simulator
+from repro.sim.rng import BLOCK, block_draws
 from repro.cluster.container import Container
 from repro.cluster.network import Network
 from repro.cluster.packet import REQUEST, RESPONSE, RpcPacket
@@ -81,7 +82,8 @@ class ServiceInstance:
     pools:
         Connection pool per child name (one per outgoing edge).
     rng:
-        Stream for per-request work draws.
+        Stream for per-request work draws.  It must be private to this
+        instance: draws are taken from it a block at a time.
     """
 
     def __init__(
@@ -109,6 +111,16 @@ class ServiceInstance:
         self.network = network
         self.pools = pools
         self.rng = rng
+        # One shared iterator per standard-variate kind, so same-kind pre
+        # and post phases read the stream in request order, as scalar
+        # draws did.  Two kinds interleave on the one stream, so then
+        # each draws a single value per refill to keep that order too.
+        pre, post = spec.pre_work, spec.post_work
+        kinds = {pre.variate, post.variate} - {None}
+        block = BLOCK if len(kinds) < 2 else 1
+        variates = {k: block_draws(getattr(rng, k), block) for k in kinds}
+        self._pre_work = pre.sampler(variates.get(pre.variate))
+        self._post_work = post.sampler(variates.get(post.variate))
         self.requests_started = 0
         self.requests_completed = 0
         #: Requests that completed as an *error* (a child call failed).
@@ -160,9 +172,9 @@ class ServiceInstance:
         self.runtime.on_arrival(now - pkt.start_time, pkt.upscale)
         inv = _Invocation(pkt, now)
         self._live.add(inv)
-        work = self.spec.pre_work.sample(self.rng)
+        work = self._pre_work()
         if work > 0.0:
-            self.container.submit(work, lambda: self._after_pre(inv))
+            self.container.submit(work, self._after_pre, inv)
         else:
             self._after_pre(inv)
 
@@ -321,9 +333,9 @@ class ServiceInstance:
 
     # --------------------------------------------------------------- egress
     def _after_children(self, inv: _Invocation) -> None:
-        work = self.spec.post_work.sample(self.rng)
+        work = self._post_work()
         if work > 0.0:
-            self.container.submit(work, lambda: self._finish(inv))
+            self.container.submit(work, self._finish, inv)
         else:
             self._finish(inv)
 

@@ -20,10 +20,11 @@ window:
 * **Route cache** — endpoints register exactly once (duplicates are
   rejected), so the (base latency, destination node, handler) triple of
   a pair never changes after first use and is cached in a flat dict.
-* **Batched jitter** — uniform draws are pre-drawn in blocks of
-  :data:`JITTER_BLOCK` via ``rng.random(n)`` and consumed by index.
-  numpy Generators produce bit-identical streams whether drawn one at a
-  time or in blocks, so results match the unbatched path exactly.
+* **Batched jitter** — uniform draws come from
+  :func:`repro.sim.rng.block_draws` over the network's private stream,
+  which pre-draws them a block at a time; numpy Generators produce
+  bit-identical streams whether drawn one at a time or in blocks, so
+  results match the unbatched path exactly.
 * **Surge timeline** — surges are kept sorted by start; the currently
   active extra and the timestamp until which it is valid are cached, so
   the common case is one comparison.  Expired windows are pruned (sim
@@ -47,15 +48,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.sim.engine import Simulator
+from repro.sim.rng import block_draws
 from repro.cluster.node import Node
 from repro.cluster.packet import REQUEST, RESPONSE, PacketPool, RpcPacket
 
 __all__ = ["Network", "NetworkConfig"]
 
 Endpoint = Callable[[RpcPacket], None]
-
-#: Uniform jitter draws pre-drawn per ``rng.random(n)`` refill.
-JITTER_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -135,10 +134,9 @@ class Network:
         #: REQUESTs the LB could not place (no READY replica); the packet
         #: is released, not sent — mirrors a connection-refused at the VIP.
         self.packets_unroutable = 0
-        # Pre-drawn U(0,1) jitter block, consumed by index.
-        self._jitter_block: List[float] = []
-        self._jitter_idx = 0
         self._jitter_on = rng is not None and config.jitter > 0
+        # Pre-drawn U(0,1) jitter values (nothing else reads ``rng``).
+        self._jitter = block_draws(rng.random) if self._jitter_on else None
         # Active-surge cache: total extra valid for t in [_surge_from, _surge_until).
         self._surge_active = 0.0
         self._surge_from = -math.inf
@@ -260,14 +258,8 @@ class Network:
 
     # ------------------------------------------------------------- delivery
     def _jitter_factor(self) -> float:
-        """Next ``1 + U(0, jitter)`` multiplier from the pre-drawn block."""
-        i = self._jitter_idx
-        if i >= len(self._jitter_block):
-            # tolist() keeps the exact float64 values as Python floats.
-            self._jitter_block = self.rng.random(JITTER_BLOCK).tolist()
-            i = 0
-        self._jitter_idx = i + 1
-        return 1.0 + self._jitter_block[i] * self.config.jitter
+        """Next ``1 + U(0, jitter)`` multiplier."""
+        return 1.0 + next(self._jitter) * self.config.jitter
 
     def latency(self, src: str, dst: str) -> float:
         """One-way latency for a packet sent *now* from ``src`` to ``dst``."""

@@ -12,8 +12,9 @@ Work is expressed in **cycles** so DVFS has its physical meaning: a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +45,10 @@ class WorkDist:
     cv: float = 0.25
 
     def __post_init__(self) -> None:
+        for name in ("mean_cycles", "cv"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.mean_cycles < 0:
             raise ValueError("mean_cycles must be non-negative")
         if self.dist not in ("deterministic", "exponential", "lognormal"):
@@ -51,22 +56,45 @@ class WorkDist:
         if self.cv < 0:
             raise ValueError("cv must be non-negative")
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """Draw one request's work in cycles."""
-        m = self.mean_cycles
-        if m == 0.0 or self.dist == "deterministic":
-            return m
+    @property
+    def variate(self) -> Optional[str]:
+        """The ``numpy.random.Generator`` method whose standard variate one
+        sample consumes, or ``None`` when a sample draws nothing (a zero
+        or deterministic phase)."""
+        if self.mean_cycles == 0.0 or self.dist == "deterministic":
+            return None
         if self.dist == "exponential":
-            return float(rng.exponential(m))
-        # lognormal parameterized by mean and cv
+            return "standard_exponential"
+        return "standard_normal"
+
+    def sampler(self, variates: Optional[Iterator[float]]) -> Callable[[], float]:
+        """A zero-argument sampler of one request's work in cycles.
+
+        Each call reads the next standard variate from ``variates`` (see
+        :attr:`variate`; ignored when that is ``None``).  The mapping is
+        the one numpy applies inside ``rng.exponential(m)`` and
+        ``rng.lognormal(mu, sigma)`` — ``m · e`` and ``exp(mu + sigma·z)``
+        in double precision — so feeding the generator's own standard
+        variates reproduces those calls bit for bit.  ``mu`` and
+        ``sigma`` are computed once here in numpy float64 arithmetic
+        (``log1p``, ``log``, ``sqrt``) and kept as Python floats.
+        """
+        m = self.mean_cycles
+        if self.variate is None:
+            return lambda: m
+        if self.dist == "exponential":
+            return lambda: m * next(variates)
         cv = max(self.cv, 1e-9)
         sigma2 = np.log1p(cv * cv)
-        mu = np.log(m) - 0.5 * sigma2
-        return float(rng.lognormal(mu, np.sqrt(sigma2)))
+        mu = float(np.log(m) - 0.5 * sigma2)
+        sigma = float(np.sqrt(sigma2))
+        exp = math.exp
+        return lambda: exp(mu + sigma * next(variates))
 
-    @property
-    def mean_seconds_at(self) -> "WorkDist":  # pragma: no cover - doc helper
-        return self
+    def sample(self, rng: np.random.Generator) -> float:
+        """Draw one request's work in cycles (one scalar draw from ``rng``)."""
+        v = self.variate
+        return self.sampler(None if v is None else iter([getattr(rng, v)()]))()
 
     def mean_time(self, frequency_hz: float) -> float:
         """Mean uncontended execution time at a given frequency."""

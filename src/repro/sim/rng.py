@@ -12,16 +12,44 @@ shared :class:`RngRegistry`.  Streams are derived with
 This is what makes the artifact's 17-repetition / trim-outliers protocol
 meaningful in simulation: repetition *i* simply uses root seed
 ``base_seed + i``.
+
+Hot-path consumers (network jitter, per-phase work) read their draws
+through :func:`block_draws`: a numpy Generator yields the same values
+whether asked for one at a time or ``n`` at a time, so a consumer that
+owns its stream can pre-draw a block and stay bit-identical to scalar
+draws while paying numpy's call overhead once per block.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
-from typing import Dict
+from typing import Callable, Dict, Iterator
 
 import numpy as np
 
-__all__ = ["RngRegistry"]
+__all__ = ["BLOCK", "RngRegistry", "block_draws"]
+
+#: Draws per refill of a :func:`block_draws` iterator.
+BLOCK = 256
+
+
+def block_draws(draw: Callable[[int], np.ndarray], block: int = BLOCK) -> Iterator[float]:
+    """Endless iterator over ``draw(block)`` values, refilled a block at a time.
+
+    ``draw`` is a Generator method such as ``rng.random`` or
+    ``rng.standard_normal``.  The first block is drawn on the first
+    ``next()``, so an iterator that is never read consumes nothing.
+    Bit-identical to calling ``draw()`` once per value only while nothing
+    else reads the same generator between refills: with ``block=1`` the
+    draws interleave with other readers exactly as scalar calls would.
+    ``tolist()`` keeps the exact float64 values as Python floats, and
+    ``chain`` hands them out without entering Python code between refills.
+    """
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block!r}")
+    blocks = (draw(block).tolist() for _ in itertools.repeat(None))
+    return itertools.chain.from_iterable(blocks)
 
 
 def _stable_key(name: str) -> int:

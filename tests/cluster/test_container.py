@@ -1,5 +1,7 @@
 """Unit tests for the processor-sharing container model."""
 
+import math
+
 import pytest
 
 from repro.cluster.container import Container
@@ -27,6 +29,18 @@ class TestSingleJob:
     def test_negative_work_rejected(self, container):
         with pytest.raises(ValueError):
             container.submit(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("work", [math.inf, math.nan])
+    def test_non_finite_work_rejected(self, container, work):
+        with pytest.raises(ValueError, match="work_cycles must be finite"):
+            container.submit(work, lambda: None)
+        assert container.active_jobs == 0
+
+    def test_done_receives_args(self, sim, container):
+        done = []
+        container.submit(1.6e9, done.append, "x")
+        sim.run()
+        assert done == ["x"]
 
     def test_frequency_scales_service_time(self, sim, dvfs):
         c = Container(sim, "c", dvfs, cores=1.0, frequency=dvfs.f_max)

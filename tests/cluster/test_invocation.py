@@ -4,7 +4,9 @@ import pytest
 
 from repro.cluster.packet import RpcPacket
 from repro.services.taskgraph import AppSpec, EdgeSpec, ServiceSpec, WorkDist
+from repro.sim.rng import BLOCK, RngRegistry
 from tests.conftest import make_chain_app
+from tests.services.test_taskgraph import scalar_draw
 
 
 def run_one_request(sim, cluster):
@@ -147,3 +149,73 @@ class TestHintPropagation:
         cluster.client_send(0, lambda p: None)
         sim.run()
         assert len(set(seen)) == 1  # one job, one start_time everywhere
+
+
+class TestWorkDraws:
+    """An instance's block-drawn work equals the scalar draws, in order.
+
+    Each compute phase submitted to the container is recorded with its
+    phase; the same sequence of phases is then replayed as scalar numpy
+    calls on a fresh copy of the instance's ``work.s`` stream (the
+    ``rng`` fixture's seed).
+    """
+
+    def _record(self, sim, make_cluster, pre, post, n=3 * BLOCK):
+        app = AppSpec(
+            name="one",
+            action="one",
+            services=(ServiceSpec("s", pre_work=pre, post_work=post, initial_cores=2.0),),
+            root="s",
+            qos_target=50e-3,
+        )
+        cluster = make_cluster(app)
+        inst = cluster.instances["s"]
+        submit = inst.container.submit
+        phases = []
+
+        def spy(work, done, *args):
+            phases.append((pre if done == inst._after_pre else post, work))
+            return submit(work, done, *args)
+
+        inst.container.submit = spy
+        for i in range(n):
+            # ~1 ms apart against ~1-2 ms phases, so pre and post phases of
+            # different requests interleave.
+            sim.schedule(i * 1e-3, cluster.client_send, i, lambda p: None)
+        sim.run()
+        assert inst.requests_completed == n
+        return phases, inst.rng
+
+    def _replay(self, phases):
+        ref = RngRegistry(42).stream("work.s")
+        return [(d, scalar_draw(d, ref) if d.variate else d.mean_cycles) for d, _ in phases]
+
+    def test_mixed_kinds_match_interleaved_scalar_draws(self, sim, make_cluster):
+        pre = WorkDist(2.4e6, "lognormal", cv=0.4)
+        post = WorkDist(1.6e6, "exponential")
+        phases, _ = self._record(sim, make_cluster, pre, post)
+        kinds = [d.dist for d, _ in phases]
+        # The phases really interleave: some post runs before a later pre.
+        assert kinds != sorted(kinds)
+        assert phases == self._replay(phases)
+
+    def test_same_kind_phases_share_one_stream(self, sim, make_cluster):
+        pre = WorkDist(2.4e6, "lognormal", cv=0.4)
+        post = WorkDist(0.8e6, "lognormal", cv=0.1)
+        phases, _ = self._record(sim, make_cluster, pre, post)
+        assert len(phases) == 2 * 3 * BLOCK  # past two refills
+        assert phases == self._replay(phases)
+
+    def test_deterministic_phase_draws_nothing(self, sim, make_cluster):
+        pre = WorkDist(1.6e6, "exponential")
+        post = WorkDist(0.8e6, "deterministic")
+        phases, _ = self._record(sim, make_cluster, pre, post)
+        assert phases == self._replay(phases)
+
+    def test_zero_work_instance_leaves_stream_untouched(self, sim, make_cluster):
+        phases, rng = self._record(
+            sim, make_cluster, WorkDist(1.6e6, "deterministic"), WorkDist(0.0), n=20
+        )
+        assert len(phases) == 20  # the zero post phase is never submitted
+        fresh = RngRegistry(42).stream("work.s")
+        assert rng.bit_generator.state == fresh.bit_generator.state

@@ -1,11 +1,13 @@
 """Unit tests for the RPC fabric."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.frequency import DvfsModel
 from repro.cluster.network import Network, NetworkConfig
 from repro.cluster.node import Node
 from repro.cluster.packet import REQUEST, RpcPacket
+from repro.sim.rng import BLOCK
 
 
 def mk_packet(src="a", dst="b", upscale=0):
@@ -214,3 +216,29 @@ class TestRxHooks:
         net.send(mk_packet(src="a", dst="client"))
         sim.run()
         assert hooked == []
+
+
+class TestJitter:
+    def test_block_drawn_jitter_equals_scalar_draws(self, sim, two_nodes):
+        n0, n1 = two_nodes
+        cfg = NetworkConfig(jitter=0.1)
+        net = Network(sim, cfg, np.random.default_rng(5))
+        net.register("a", n0, lambda p: None)
+        net.register("b", n1, lambda p: None)
+        n = 2 * BLOCK + 3  # past two refills
+        got = [net.latency("a", "b") for _ in range(n)]
+        ref = np.random.default_rng(5)
+        want = [
+            cfg.inter_node_latency * (1.0 + float(ref.random()) * cfg.jitter) + 0.0 + 0.0
+            for _ in range(n)
+        ]
+        assert got == want
+
+    def test_zero_jitter_draws_nothing(self, sim, two_nodes):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        net = Network(sim, NetworkConfig(jitter=0.0), rng)
+        net.register("a", two_nodes[0], lambda p: None)
+        net.register("b", two_nodes[1], lambda p: None)
+        assert net.latency("a", "b") == NetworkConfig().inter_node_latency
+        assert rng.bit_generator.state == before

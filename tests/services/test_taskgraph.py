@@ -1,9 +1,12 @@
 """Unit tests for task-graph specifications."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.services.taskgraph import AppSpec, EdgeSpec, ServiceSpec, WorkDist
+from repro.sim.rng import BLOCK, block_draws
 
 
 class TestWorkDist:
@@ -47,6 +50,60 @@ class TestWorkDist:
             WorkDist(1.0, cv=-0.5)
         with pytest.raises(ValueError):
             WorkDist(1.0).mean_time(0.0)
+
+    @pytest.mark.parametrize("field", ["mean_cycles", "cv"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected_with_field_name(self, field, value):
+        # An infinite mean used to surface deep in a run as an invalid
+        # event delay; it must fail here, naming the field.
+        kwargs = {"mean_cycles": 1e6, "cv": 0.25, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WorkDist(**kwargs)
+
+
+def scalar_draw(d: WorkDist, rng: np.random.Generator) -> float:
+    """One draw the way numpy's per-call distributions make it."""
+    if d.dist == "exponential":
+        return float(rng.exponential(d.mean_cycles))
+    cv = max(d.cv, 1e-9)
+    sigma2 = np.log1p(cv * cv)
+    return float(rng.lognormal(np.log(d.mean_cycles) - 0.5 * sigma2, np.sqrt(sigma2)))
+
+
+class TestSampler:
+    """Block-drawn standard variates reproduce numpy's scalar calls bit for bit."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            WorkDist(2.4e6, "lognormal", cv=0.4),
+            WorkDist(3e5, "lognormal", cv=0.0),
+            WorkDist(1e6, "exponential"),
+        ],
+        ids=["lognormal", "lognormal-cv0", "exponential"],
+    )
+    def test_block_draws_match_scalar_calls(self, d):
+        n = 2 * BLOCK + 17  # three refills
+        blocked = d.sampler(block_draws(getattr(np.random.default_rng(11), d.variate)))
+        scalar = np.random.default_rng(11)
+        assert [blocked() for _ in range(n)] == [scalar_draw(d, scalar) for _ in range(n)]
+
+    @pytest.mark.parametrize("dist", ["lognormal", "exponential"])
+    def test_sample_matches_scalar_calls(self, dist):
+        d = WorkDist(7e5, dist)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        assert [d.sample(a) for _ in range(50)] == [scalar_draw(d, b) for _ in range(50)]
+
+    @pytest.mark.parametrize(
+        "d", [WorkDist(0.0), WorkDist(0.0, "exponential"), WorkDist(5e5, "deterministic")]
+    )
+    def test_zero_and_deterministic_draw_nothing(self, d):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert d.variate is None
+        assert d.sampler(None)() == d.mean_cycles
+        assert d.sample(rng) == d.mean_cycles
+        assert rng.bit_generator.state == before
 
 
 def svc(name, children=(), fanout="sequential"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import BLOCK, RngRegistry, block_draws
 
 
 class TestReproducibility:
@@ -61,3 +61,22 @@ class TestApi:
         a = RngRegistry(3).fork(5).stream("s").random(8)
         b = RngRegistry(3).fork(5).stream("s").random(8)
         assert np.array_equal(a, b)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("block", [1, 5, BLOCK])
+    def test_equals_scalar_draws_across_refills(self, block):
+        it = block_draws(np.random.default_rng(9).random, block)
+        ref = np.random.default_rng(9)
+        n = 2 * block + 3
+        assert [next(it) for _ in range(n)] == [float(ref.random()) for _ in range(n)]
+
+    def test_nothing_drawn_before_first_read(self):
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        block_draws(rng.standard_normal)
+        assert rng.bit_generator.state == before
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="block"):
+            block_draws(np.random.default_rng(0).random, 0)
