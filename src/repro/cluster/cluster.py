@@ -258,10 +258,6 @@ class Cluster:
                 self.freq_events.append((sim.now, name, c.frequency))
 
         self._views = [NodeView(self, n) for n in self.nodes]
-        #: ``None`` = unsharded (every node is local).  A sharded worker
-        #: restricts this via :meth:`set_local_nodes`; remote nodes'
-        #: containers then exist only as idle routing stubs.
-        self._local_nodes: Optional[frozenset] = None
         self._ingress_count = 0
         #: Optional :class:`repro.faults.rpc.RpcCaller` installed by a
         #: fault injector; ``None`` keeps ingress on the direct path.
@@ -302,52 +298,8 @@ class Cluster:
     # ----------------------------------------------------------------- views
     @property
     def node_views(self) -> List[NodeView]:
-        """One local view per node — SurgeGuard's only interface.
-
-        On a sharded worker (:meth:`set_local_nodes`) only this shard's
-        nodes are listed, so per-node controller daemons exist exactly
-        once across the fleet — on the shard that owns their node.
-        """
+        """One local view per node — SurgeGuard's only interface."""
         return list(self._views)
-
-    # ---------------------------------------------------------------- sharding
-    def set_local_nodes(self, indices) -> None:
-        """Restrict this cluster object to a shard's node subset.
-
-        Every shard builds the *full* cluster identically (same
-        endpoint registry, same placement, same RNG stream creation
-        order — that is what keeps routing and seeding deterministic);
-        this call then marks which nodes are actually simulated here.
-        Controller views shrink to the local nodes, and the metric
-        merge reads only local containers, so remote stubs (which never
-        receive work) contribute nothing twice.
-        """
-        local = frozenset(indices)
-        if not local <= set(range(len(self.nodes))):
-            raise ValueError(f"unknown node indices {sorted(local)!r}")
-        self._local_nodes = local
-        self._views = [
-            NodeView(self, n) for i, n in enumerate(self.nodes) if i in local
-        ]
-
-    @property
-    def local_node_indices(self) -> List[int]:
-        """Indices of the nodes simulated on this shard (all, unsharded)."""
-        if self._local_nodes is None:
-            return list(range(len(self.nodes)))
-        return sorted(self._local_nodes)
-
-    def local_containers(self) -> List[str]:
-        """Names of containers hosted on this shard's nodes.
-
-        The sharded metric merge sums accounting integrals over exactly
-        these, per shard — each container is local to one shard, so the
-        union is a partition of the fleet.
-        """
-        if self._local_nodes is None:
-            return list(self.containers)
-        local = self._local_nodes
-        return [name for name, i in self.placement.items() if i in local]
 
     def node_of(self, container_name: str) -> Node:
         """The node hosting ``container_name``."""

@@ -141,19 +141,6 @@ class Network:
         self._surge_active = 0.0
         self._surge_from = -math.inf
         self._surge_until = math.inf
-        # Sharded tier (DESIGN.md §12): when armed, sends whose
-        # destination node lives on another shard are diverted to the
-        # boundary outbox instead of being scheduled locally.  ``None``
-        # keeps the legacy path untouched; an armed context with an
-        # *empty* remote set (shards=1) costs one identity check plus an
-        # empty-frozenset membership test per send and changes nothing
-        # else — that is the bit-identical pass-through.
-        self._shard = None
-        self._shard_remote: Optional[frozenset] = None
-        # Expired-surge pruning assumes latency queries are monotonic in
-        # time, which boundary receives (queried at the sender's earlier
-        # send_time) break; armed sharding with peers disables it.
-        self._surge_prune = True
 
     def add_observer(self, fn: Endpoint) -> None:
         """Register a read-only tap invoked on *every* delivery —
@@ -226,15 +213,9 @@ class Network:
 
     def _surge_rescan(self, t: float) -> float:
         """Recompute the active extra at ``t`` and its validity window,
-        pruning surges that ended at or before ``t``.
-
-        Pruning is skipped when the sharded boundary is armed (queries
-        are then non-monotonic); the ``s.end > t`` guard below keeps the
-        computed extra correct either way — with pruning on it can never
-        be false, so the pruned path's arithmetic is unchanged.
-        """
+        pruning surges that ended at or before ``t``."""
         surges = self._surges
-        if surges and self._surge_prune:
+        if surges:
             live = [s for s in surges if s.end > t]
             if len(live) != len(surges):
                 self._surges = surges = live
@@ -242,10 +223,9 @@ class Network:
         until = math.inf
         for s in surges:  # sorted by start
             if s.start <= t:
-                if s.end > t:
-                    extra += s.extra
-                    if s.end < until:
-                        until = s.end
+                extra += s.extra
+                if s.end < until:
+                    until = s.end
             else:
                 # First future window bounds the cache validity.
                 if s.start < until:
@@ -295,18 +275,6 @@ class Network:
         if route is None:
             route = self._route(packet.src, packet.dst)
         base, dst_node, handler = route
-        remote = self._shard_remote
-        if remote is not None and dst_node in remote:
-            # Boundary crossing: stamp + count the send here (the
-            # receiver counts the delivery), then hand the packet to the
-            # shard context, which serializes it and releases it to the
-            # local pool.  Jitter is deliberately *not* drawn here — the
-            # receiving shard draws it from its own stream so each
-            # shard's RNG consumption is self-contained.
-            packet.send_time = self.sim.now
-            self.packets_sent += 1
-            self._shard.divert(packet, self.pool, dst_node)
-            return
         if self._jitter_on:
             base *= self._jitter_factor()
         t = self.sim.now
@@ -319,64 +287,6 @@ class Network:
         packet.send_time = t
         self.packets_sent += 1
         self.sim.schedule(base, self._deliver, packet, dst_node, handler)
-
-    # ------------------------------------------------------- shard boundary
-    def arm_shard(self, ctx) -> None:
-        """Arm the sharded boundary (see :mod:`repro.sim.shard`).
-
-        With a bound context whose remote set is empty (``shards=1``)
-        every send still takes the legacy path — the pass-through the
-        golden cells pin.  With peers present, expired-surge pruning is
-        disabled because boundary receives query the surge timeline at
-        the sender's send_time, which may precede earlier local queries.
-        """
-        self._shard = ctx
-        self._shard_remote = ctx.remote_nodes
-        if ctx.remote_nodes:
-            self._surge_prune = False
-
-    def recv_boundary(
-        self,
-        request_id: int,
-        kind: int,
-        src: str,
-        dst: str,
-        start_time: float,
-        upscale: int,
-        send_time: float,
-        error: bool,
-        context,
-    ) -> None:
-        """Materialize a packet that crossed a shard boundary.
-
-        Mirrors :meth:`send`'s latency arithmetic exactly — same route
-        base, same jitter-then-surge-then-RX order — except the jitter
-        draw comes from *this* shard's stream and the surge timeline is
-        queried at the original ``send_time``.  The rebuilt packet is
-        acquired from this shard's own pool (pooled objects never cross
-        the boundary) and delivery lands at ``send_time + latency``,
-        which conservative sync guarantees is never in this shard's
-        past.  ``packets_sent`` is not incremented: the sender already
-        counted it, so cluster-wide totals sum correctly across shards.
-        """
-        route = self._routes.get((src, dst))
-        if route is None:
-            route = self._route(src, dst)
-        base, dst_node, handler = route
-        if self._jitter_on:
-            base *= self._jitter_factor()
-        if self._surge_from <= send_time < self._surge_until:
-            base += self._surge_active
-        else:
-            base += self._surge_rescan(send_time)
-        if dst_node is not None:
-            base += dst_node._rx_overhead
-        packet = self.pool.acquire(
-            request_id, kind, src, dst, start_time, upscale,
-            error=error, context=context,
-        )
-        packet.send_time = send_time
-        self.sim.schedule_at(send_time + base, self._deliver, packet, dst_node, handler)
 
     def _deliver(
         self, packet: RpcPacket, node: Optional[Node], handler: Endpoint

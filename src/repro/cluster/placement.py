@@ -21,7 +21,6 @@ __all__ = [
     "by_depth",
     "expand_replicas",
     "expand_depths",
-    "node_shard_map",
 ]
 
 
@@ -55,26 +54,6 @@ def by_depth(depths: Dict[str, int], n_nodes: int) -> Dict[str, int]:
     if n_nodes < 1:
         raise ValueError("need at least one node")
     return {name: depth % n_nodes for name, depth in depths.items()}
-
-
-def node_shard_map(n_nodes: int, shards: int) -> Dict[int, int]:
-    """Partition node indices into ``shards`` contiguous, balanced blocks.
-
-    Node ``i`` goes to shard ``i * shards // n_nodes`` — the standard
-    balanced-block rule (block sizes differ by at most one, shard 0 gets
-    the first block, every shard is non-empty for ``shards <= n_nodes``).
-    Contiguity matters for the sharded tier: node 0 — where round-robin
-    placement puts the workload root — always lands on shard 0, which
-    also hosts the external client, keeping client↔root traffic off the
-    boundary.
-    """
-    if n_nodes < 1:
-        raise ValueError("need at least one node")
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    if shards > n_nodes:
-        raise ValueError(f"cannot split {n_nodes} nodes across {shards} shards")
-    return {i: i * shards // n_nodes for i in range(n_nodes)}
 
 
 def expand_replicas(services: Sequence[str], replicas: int) -> List[str]:

@@ -46,13 +46,6 @@ class Controller(abc.ABC):
     #: Human-readable controller name (used in experiment reports).
     name: str = "abstract"
 
-    #: Whether the controller partitions cleanly across simulation
-    #: shards (DESIGN.md §12): it must act only through per-node local
-    #: state reached via ``cluster.node_views`` (which a sharded worker
-    #: restricts to its own nodes), never through fleet-global scans.
-    #: Conservative default: opt in per class.
-    shardable: bool = False
-
     def __init__(self) -> None:
         self.sim: Optional[Simulator] = None
         self.cluster: Optional[Cluster] = None

@@ -16,7 +16,6 @@ class NullController(Controller):
     """Does nothing; allocations stay at their initial values."""
 
     name = "static"
-    shardable = True  # schedules nothing, touches nothing
 
     def _on_start(self) -> None:  # noqa: D102 - nothing to schedule
         pass

@@ -33,10 +33,6 @@ class SurgeGuardController(Controller):
     """The complete SurgeGuard resource controller."""
 
     name = "surgeguard"
-    #: Strictly per-node by design (one Escalator/FirstResponder pair per
-    #: NodeView, no cross-node reads), so restricting node_views to a
-    #: shard's nodes shards the controller itself.
-    shardable = True
 
     def __init__(self, config: Optional[SurgeGuardConfig] = None):
         super().__init__()

@@ -1,7 +1,7 @@
 """Machine-tracked performance benchmark → ``BENCH_exec.json``.
 
-Seven measurements, deliberately simple so their trajectory is
-comparable across PRs (report ``schema: 7``):
+Six measurements, deliberately simple so their trajectory is
+comparable across PRs (report ``schema: 8``):
 
 * **engine** — raw event-loop throughput (events/second) on a synthetic
   workload of self-rescheduling timers plus cancel churn, exercising the
@@ -26,16 +26,6 @@ comparable across PRs (report ``schema: 7``):
   steady-state *object churn per 100k packets* — fresh ``RpcPacket`` +
   ``EventHandle`` constructions counted by the pools themselves, so the
   number is deterministic (no timing noise) and CI-gateable;
-* **sharded** (schema 6) — the partitioned-simulation headline: one
-  large multi-node cell (a 16-stage pipeline on 8 nodes) run serially
-  and again split across 4 shards (:mod:`repro.exec.sharded`), reported
-  as ``sharded_speedup`` with an explicit ``speedup_basis``.  On hosts
-  with at least as many CPUs as shards the basis is ``wall`` (real
-  processes, wall-clock ratio); on smaller hosts real parallel wall
-  time is unmeasurable, so the basis is ``critical_path`` — the
-  per-barrier-window CPU maxima summed over the run (the lockstep
-  in-process driver), i.e. the time an adequately-provisioned host
-  would take — divided into the serial CPU time;
 * **cell** — wall-clock seconds for one standard experiment cell
   (CHAIN × 1.75× surges × SurgeGuard), i.e. the unit of work the
   repetition protocol fans out.
@@ -77,7 +67,6 @@ __all__ = [
     "bench_lb_dispatch",
     "bench_memory",
     "bench_packet_path",
-    "bench_sharded",
     "bench_users",
     "main",
     "run_benchmarks",
@@ -107,19 +96,6 @@ USERS_FLOOR_UPS = 2_000.0
 #: ~197k–292k pkt/s on the dev host; the floor keeps ~5× headroom under
 #: the worst observation).
 PACKET_FLOOR_PPS = 40_000.0
-
-#: Floor on the sharded-simulation speedup (4 shards, 8-node cell).
-#: The committed report shows >=2.0x; the CI floor backs off for
-#: shared-runner noise while still requiring that partitioning *wins*.
-SHARDED_SPEEDUP_FLOOR = 1.5
-
-#: Sharded-bench cell shape: stages of the pipeline app, nodes, shards.
-SHARDED_STAGES = 16
-SHARDED_NODES = 8
-SHARDED_SHARDS = 4
-
-#: Default measurement duration (simulated seconds) of the sharded row.
-DEFAULT_SHARDED_DURATION = 2.0
 
 #: Default routing decisions per policy for the lb_dispatch measurement.
 DEFAULT_LB_DISPATCHES = 200_000
@@ -479,130 +455,6 @@ def bench_lb_dispatch(n_dispatches: int = DEFAULT_LB_DISPATCHES) -> dict:
     }
 
 
-def _pipeline_app(stages: int = SHARDED_STAGES, work_cycles: float = 1.2e6):
-    """A ``stages``-deep CHAIN-style pipeline that fills a wide cluster.
-
-    Round-robin placement puts consecutive stages on consecutive nodes,
-    so an 8-node cluster gets two stages per node and every shard of a
-    4-way split carries an equal slice of the pipeline — the load
-    balance the speedup measurement needs (the stock 5-stage CHAIN
-    leaves three of eight nodes idle).
-    """
-    from repro.services.taskgraph import AppSpec, EdgeSpec, ServiceSpec, WorkDist
-
-    names = [f"stage{i + 1}" for i in range(stages)]
-    services = []
-    for i, name in enumerate(names):
-        children = (EdgeSpec(names[i + 1], 512),) if i + 1 < stages else ()
-        services.append(
-            ServiceSpec(
-                name=name,
-                pre_work=WorkDist(work_cycles),
-                children=children,
-                initial_cores=2.0,
-            )
-        )
-    return AppSpec(
-        name=f"PIPE{stages}",
-        action="pipe",
-        services=tuple(services),
-        root=names[0],
-        qos_target=50e-3,
-        description=f"{stages}-stage pipeline for the sharded benchmark",
-    )
-
-
-def bench_sharded(
-    duration: float = DEFAULT_SHARDED_DURATION,
-    *,
-    n_nodes: int = SHARDED_NODES,
-    shards: int = SHARDED_SHARDS,
-) -> dict:
-    """Serial vs sharded execution of one large multi-node cell.
-
-    The cell is a 16-stage pipeline across ``n_nodes`` nodes under
-    SurgeGuard on a 200 µs inter-node fabric (a coarser lookahead than
-    the 20 µs default, so each conservative-sync window carries enough
-    events to amortize the barrier).  ``speedup_basis`` records how the
-    ratio was formed:
-
-    * ``wall`` — the host has >= ``shards`` CPUs: real worker processes,
-      wall-clock over wall-clock;
-    * ``critical_path`` — fewer CPUs than shards (parallel wall time is
-      unmeasurable): the lockstep in-process driver, serial CPU time
-      over the summed per-window CPU maxima (the time the barrier
-      protocol would take with one real CPU per shard).
-    """
-    from repro.cluster.network import NetworkConfig
-    from repro.exec.sharded import run_sharded
-    from repro.exec.specs import spec
-    from repro.experiments.harness import (
-        ExperimentConfig,
-        clear_profile_cache,
-        profile_targets,
-        run_experiment,
-    )
-
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
-    cfg = ExperimentConfig(
-        workload="chain",
-        app=_pipeline_app(),
-        base_rate=2000.0,
-        controller_factory=spec("surgeguard"),
-        spike_magnitude=None,
-        n_nodes=n_nodes,
-        duration=duration,
-        warmup=0.5,
-        profile_duration=0.5,
-        drain=0.5,
-        seed=1,
-        network=NetworkConfig(inter_node_latency=200e-6),
-    )
-    clear_profile_cache()
-    targets = profile_targets(cfg)
-
-    w0 = time.perf_counter()
-    c0 = time.process_time_ns()
-    serial = run_experiment(cfg, targets)
-    serial_cpu = (time.process_time_ns() - c0) / 1e9
-    serial_wall = time.perf_counter() - w0
-
-    cpus = os.cpu_count() or 1
-    basis = "wall" if cpus >= shards else "critical_path"
-    w0 = time.perf_counter()
-    sharded = run_sharded(
-        cfg, targets, shards=shards, inline=(basis == "critical_path")
-    )
-    sharded_wall = time.perf_counter() - w0
-    ss = sharded.shard_stats
-    crit = ss["critical_path_ns"] / 1e9
-    if basis == "wall":
-        speedup = serial_wall / sharded_wall if sharded_wall > 0 else float("inf")
-    else:
-        speedup = serial_cpu / crit if crit > 0 else float("inf")
-    if sharded.summary.count != serial.summary.count:  # pragma: no cover
-        raise AssertionError(
-            "sharded cell completed a different request count than serial"
-        )
-    return {
-        "n_nodes": n_nodes,
-        "shards": shards,
-        "stages": SHARDED_STAGES,
-        "duration": duration,
-        "requests": serial.summary.count,
-        "serial_wall_seconds": serial_wall,
-        "serial_cpu_seconds": serial_cpu,
-        "sharded_wall_seconds": sharded_wall,
-        "critical_path_seconds": crit,
-        "per_shard_cpu_seconds": [c / 1e9 for c in ss["cpu_ns"]],
-        "rounds": ss["rounds"],
-        "conservation_ok": ss["conservation_ok"],
-        "speedup_basis": basis,
-        "sharded_speedup": speedup,
-    }
-
-
 def bench_cell(
     *, reps: int = 1, jobs: int = 1, workload: str = "chain"
 ) -> dict:
@@ -643,17 +495,15 @@ def run_benchmarks(
     n_packets: int = DEFAULT_PACKETS,
     n_users: int = DEFAULT_USERS,
     n_lb_dispatches: int = DEFAULT_LB_DISPATCHES,
-    sharded_duration: float = DEFAULT_SHARDED_DURATION,
     best_of: int = 1,
     reps: int = 1,
     jobs: int = 1,
     skip_cell: bool = False,
     skip_memory: bool = False,
-    skip_sharded: bool = False,
 ) -> dict:
-    """Run all measurements and return the report dict (schema 7)."""
+    """Run all measurements and return the report dict (schema 8)."""
     report = {
-        "schema": 7,
+        "schema": 8,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "machine": {
             "cpu_count": os.cpu_count(),
@@ -665,8 +515,6 @@ def run_benchmarks(
         "packet_path": bench_packet_path(n_packets, best_of=best_of),
         "lb_dispatch": bench_lb_dispatch(n_lb_dispatches),
     }
-    if not skip_sharded:
-        report["sharded"] = bench_sharded(sharded_duration)
     if not skip_memory:
         report["memory"] = bench_memory(n_packets)
     if not skip_cell:
@@ -693,10 +541,6 @@ def _history_entry(report: dict) -> dict:
     lb = report.get("lb_dispatch")
     if lb:
         entry["lb_min_dispatches_per_sec"] = lb.get("min_dispatches_per_sec")
-    sharded = report.get("sharded")
-    if sharded:
-        entry["sharded_speedup"] = sharded.get("sharded_speedup")
-        entry["sharded_speedup_basis"] = sharded.get("speedup_basis")
     cell = report.get("cell")
     if cell:
         entry["cell_seconds_per_rep"] = cell.get("seconds_per_rep")
@@ -758,11 +602,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
              f"(default {DEFAULT_LB_DISPATCHES})",
     )
     parser.add_argument(
-        "--sharded-duration", type=float, default=DEFAULT_SHARDED_DURATION,
-        help="measured simulated seconds of the sharded cell "
-             f"(default {DEFAULT_SHARDED_DURATION})",
-    )
-    parser.add_argument(
         "--best-of", type=int, default=1,
         help="repeats per throughput row, fastest kept (default 1; the "
              "committed report uses 3 to suppress shared-host noise)",
@@ -782,10 +621,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         help="skip the allocation/GC profile (schema-3 memory section)",
     )
     parser.add_argument(
-        "--skip-sharded", action="store_true",
-        help="skip the serial-vs-sharded cell (schema-6 sharded section)",
-    )
-    parser.add_argument(
         "--append", action="store_true",
         help="fold the previous report at --out into a per-commit "
              "'history' list instead of discarding it",
@@ -801,13 +636,11 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         n_packets=args.packets,
         n_users=args.users,
         n_lb_dispatches=args.lb_dispatches,
-        sharded_duration=args.sharded_duration,
         best_of=args.best_of,
         reps=args.reps,
         jobs=args.jobs,
         skip_cell=args.skip_cell,
         skip_memory=args.skip_memory,
-        skip_sharded=args.skip_sharded,
     )
     if args.append:
         append_history(report, args.out)
@@ -829,13 +662,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         for name, row in lb["policies"].items()
     )
     print(f"lb:     {lb_parts} (min {lb['min_dispatches_per_sec']:,.0f}/s)")
-    sharded = report.get("sharded")
-    if sharded:
-        print(f"sharded: {sharded['n_nodes']} nodes / {sharded['shards']} shards "
-              f"→ {sharded['sharded_speedup']:.2f}x "
-              f"({sharded['speedup_basis']} basis, "
-              f"{sharded['rounds']} sync rounds, "
-              f"conservation={'ok' if sharded['conservation_ok'] else 'VIOLATED'})")
     memory = report.get("memory")
     if memory:
         pooled, unpooled = memory["pooled"], memory["unpooled"]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
@@ -96,25 +95,6 @@ def run_reps(
         raise ValueError(f"got {len(seeds)} seeds for {reps} reps")
     if targets is None:
         targets = profile_targets(cfg)
-
-    # Sharded reps multiply: each rep spawns `shards` worker processes of
-    # its own, so `jobs` reps in flight occupy jobs × shards CPUs.  Clamp
-    # to the container's cores rather than thrash every simulation.
-    from repro.exec.sharded import resolve_shards
-
-    shards = resolve_shards(cfg) or 1
-    if shards > 1:
-        cpus = cpu_jobs()
-        if jobs * shards > cpus:
-            capped = max(1, cpus // shards)
-            if capped < jobs:
-                warnings.warn(
-                    f"jobs={jobs} x shards={shards} oversubscribes "
-                    f"{cpus} CPUs; capping jobs at {capped}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                jobs = capped
 
     if jobs == 1 or reps == 1:
         return [_rep_worker((cfg, targets, s)) for s in seeds]

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.shard import shards_from_env
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.network import NetworkConfig
 from repro.controllers.base import Controller, ControllerStats
@@ -127,17 +126,9 @@ class ExperimentConfig:
     #: (``None`` keeps the unreplicated budget — required for the
     #: replicas=1 identity cells).
     replica_capacity: Optional[int] = None
-    #: Sharded simulation mode (DESIGN.md §12).  ``None`` = legacy
-    #: single-process path, untouched; the ``REPRO_SHARDS`` environment
-    #: variable then supplies a run-wide default.  ``1`` arms the
-    #: bit-identical pass-through; ``K >= 2`` partitions the nodes
-    #: across K event loops with conservative time sync (requires
-    #: ``replicas=None``, no faults, and a shardable controller).
-    shards: Optional[int] = None
     #: Network fabric override (``None`` = default
-    #: :class:`~repro.cluster.network.NetworkConfig`).  The sharded
-    #: validate family sets ``jitter=0`` here so fingerprints are
-    #: invariant to the shard count.
+    #: :class:`~repro.cluster.network.NetworkConfig`).  The multinode
+    #: validate family sets ``jitter=0`` here.
     network: Optional[NetworkConfig] = None
 
     def resolved_rate(self) -> float:
@@ -184,12 +175,6 @@ class ExperimentResult:
     requests_sent: int = 0
     #: Injector counter snapshot (``None`` on fault-free runs).
     fault_stats: Optional[Dict[str, int]] = None
-    #: Sharded-run merge record (``None`` on unsharded and shards=1 runs
-    #: — the pass-through leaves results byte-identical).  Carries the
-    #: fleet-merged counters the fingerprint layer would otherwise read
-    #: off the single sim/cluster, plus the boundary-conservation ledger
-    #: and per-shard CPU accounting (see repro.exec.sharded).
-    shard_stats: Optional[Dict[str, object]] = None
 
     @property
     def violation_volume(self) -> float:
@@ -266,9 +251,7 @@ def profile_targets(cfg: ExperimentConfig) -> TargetConfig:
         cfg.qos_multiplier,
         cfg.target_multiplier,
         cfg.tfs_multiplier,
-        # Jitter/latency parameters change the profiled latencies;
-        # ``shards`` deliberately does NOT enter the key — profiling
-        # always runs serially and its targets are shard-independent.
+        # Jitter/latency parameters change the profiled latencies.
         cfg.network,
     )
     cached = _PROFILE_CACHE.get(key)
@@ -363,25 +346,10 @@ def run_experiment(
         # Fresh copy with replica-name fallback — never mutate the
         # (possibly cached, shared) profiled TargetConfig.
         targets = targets.with_replica_fallback()
-    shards = cfg.shards if cfg.shards is not None else shards_from_env()
-    if shards is not None and shards > 1:
-        # Partitioned path: K event loops with conservative sync.
-        # Imported lazily — repro.exec.sharded imports this module.
-        from repro.exec.sharded import run_sharded
-
-        return run_sharded(
-            cfg, targets, shards=shards, monitors=monitors, probe=probe
-        )
     app = cfg.resolved_app()
     sim, cluster = _build_cluster(
         cfg, app, seed=cfg.seed, record=cfg.record_timelines, replicated=True
     )
-    if shards is not None:
-        # shards=1: the boundary is armed with an empty remote set — the
-        # proven bit-identical pass-through (no divert, no RNG change).
-        from repro.exec.sharded import arm_passthrough
-
-        arm_passthrough(cluster)
     for surge_start, surge_end, surge_extra in cfg.latency_surges:
         cluster.network.add_latency_surge(surge_start, surge_end, surge_extra)
 

@@ -182,28 +182,6 @@ class Simulator:
         """
         return len(self._heap) - self._cancelled_pending
 
-    def next_event_time(self) -> float:
-        """Time of the earliest *live* pending event, or ``math.inf``.
-
-        The sharded tier's conservative-sync barrier (DESIGN.md §12)
-        needs each shard's local horizon between ``run(until=...)``
-        windows.  Lazily-cancelled heads are dropped here exactly as the
-        run loop would drop them — with the same bookkeeping and
-        handle-recycling — so peeking never perturbs the counters a
-        later run would have produced.
-        """
-        heap = self._heap
-        free = self._free
-        while heap:
-            time, _, handle = heap[0]
-            if handle.fn is not None:
-                return time
-            heapq.heappop(heap)  # a lazily-cancelled head
-            self._cancelled_pending -= 1
-            if free is not None and sys.getrefcount(handle) == 2:
-                free.append(handle)
-        return math.inf
-
     # ------------------------------------------------------------- scheduling
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.

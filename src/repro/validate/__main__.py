@@ -19,21 +19,21 @@ from repro.validate.scenarios import (
     FAULT_SCENARIOS,
     HORIZONTAL_CONTROLLERS,
     HORIZONTAL_SCENARIOS,
+    MULTINODE_CONTROLLERS,
+    MULTINODE_SCENARIOS,
     SCENARIOS,
-    SHARDED_CONTROLLERS,
-    SHARDED_SCENARIOS,
     WORKLOADS,
     ZOO_CONTROLLERS,
     ZOO_SCENARIOS,
     fault_matrix,
     horizontal_matrix,
+    multinode_matrix,
     scenario_matrix,
-    sharded_matrix,
     zoo_matrix,
 )
 
 #: Cell-family names accepted by ``--family`` (in matrix order).
-FAMILIES = ("base", "faults", "horizontal", "zoo", "sharded")
+FAMILIES = ("base", "faults", "horizontal", "zoo", "multinode")
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
@@ -61,19 +61,14 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
                 + FAULT_SCENARIOS
                 + HORIZONTAL_SCENARIOS
                 + ZOO_SCENARIOS
-                + SHARDED_SCENARIOS
+                + MULTINODE_SCENARIOS
             )
         ),
         help="restrict to a traffic shape or fault scenario (repeatable)",
     )
     parser.add_argument(
         "--family", action="append", choices=FAMILIES,
-        help=(
-            "restrict to a cell family (repeatable); e.g. the "
-            "REPRO_SHARDS=2 CI leg runs only '--family sharded' because "
-            "the other families use replicas, faults, or non-shardable "
-            "controllers"
-        ),
+        help="restrict to a cell family (repeatable)",
     )
     parser.add_argument(
         "--update-golden", action="store_true",
@@ -88,24 +83,24 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     )
     args = parser.parse_args(list(argv) if argv is not None else None)
 
-    # The four families share the filter flags: each family keeps the
+    # The families share the filter flags: each family keeps the
     # controller / scenario names it recognises (a fault-only filter
     # yields no base cells and vice versa), and fault cells exist only
     # for the chain workload and its controller subset.
-    base_shapes = fault_shapes = hpa_shapes = zoo_shapes = sharded_shapes = None
+    base_shapes = fault_shapes = hpa_shapes = zoo_shapes = multi_shapes = None
     if args.scenario is not None:
         base_shapes = [s for s in args.scenario if s in SCENARIOS]
         fault_shapes = [s for s in args.scenario if s in FAULT_SCENARIOS]
         hpa_shapes = [s for s in args.scenario if s in HORIZONTAL_SCENARIOS]
         zoo_shapes = [s for s in args.scenario if s in ZOO_SCENARIOS]
-        sharded_shapes = [s for s in args.scenario if s in SHARDED_SCENARIOS]
-    base_ctrls = fault_ctrls = hpa_ctrls = zoo_ctrls = sharded_ctrls = None
+        multi_shapes = [s for s in args.scenario if s in MULTINODE_SCENARIOS]
+    base_ctrls = fault_ctrls = hpa_ctrls = zoo_ctrls = multi_ctrls = None
     if args.controller is not None:
         base_ctrls = [c for c in args.controller if c in CONTROLLERS]
         fault_ctrls = [c for c in args.controller if c in FAULT_CONTROLLERS]
         hpa_ctrls = [c for c in args.controller if c in HORIZONTAL_CONTROLLERS]
         zoo_ctrls = [c for c in args.controller if c in ZOO_CONTROLLERS]
-        sharded_ctrls = [c for c in args.controller if c in SHARDED_CONTROLLERS]
+        multi_ctrls = [c for c in args.controller if c in MULTINODE_CONTROLLERS]
     families = FAMILIES if args.family is None else tuple(args.family)
     cells = []
     if "base" in families:
@@ -128,11 +123,11 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
             controllers=zoo_ctrls,
             scenarios=zoo_shapes,
         )
-    if "sharded" in families:
-        cells += sharded_matrix(
+    if "multinode" in families:
+        cells += multinode_matrix(
             workloads=args.workload,
-            controllers=sharded_ctrls,
-            scenarios=sharded_shapes,
+            controllers=multi_ctrls,
+            scenarios=multi_shapes,
         )
     if args.list:
         for cell in cells:

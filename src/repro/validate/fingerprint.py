@@ -24,28 +24,8 @@ __all__ = ["fingerprint_diff", "scenario_fingerprint"]
 
 
 def scenario_fingerprint(result: ExperimentResult, sim, cluster) -> dict:
-    """Extract the committed-golden fingerprint of one scenario run.
-
-    On a sharded run (``result.shard_stats`` set) the counters come from
-    the fleet-wide merge instead of the shard-0 ``sim``/``cluster`` the
-    probe captured — the merged values are defined to equal the serial
-    counters whenever the dynamics are shard-invariant, so one committed
-    golden pins the cell across every shard count.
-    """
+    """Extract the committed-golden fingerprint of one scenario run."""
     stats = result.controller_stats
-    ss = result.shard_stats
-    if ss is not None:
-        events_fired = ss["events_fired"]
-        packets_sent = ss["packets_sent"]
-        packets_delivered = ss["packets_delivered"]
-        final_alloc = dict(ss["final_alloc"])
-        final_freq = dict(ss["final_freq"])
-    else:
-        events_fired = sim.events_fired
-        packets_sent = cluster.network.packets_sent
-        packets_delivered = cluster.network.packets_delivered
-        final_alloc = cluster.allocations()
-        final_freq = cluster.frequencies()
     fp = {
         "violation_volume": result.summary.violation_volume,
         "violation_duration": result.summary.violation_duration,
@@ -53,11 +33,11 @@ def scenario_fingerprint(result: ExperimentResult, sim, cluster) -> dict:
         "completed": result.summary.count,
         "outstanding": result.outstanding,
         "ingress": cluster.ingress_count,
-        "events_fired": events_fired,
-        "packets_sent": packets_sent,
-        "packets_delivered": packets_delivered,
-        "final_alloc": final_alloc,
-        "final_freq": final_freq,
+        "events_fired": sim.events_fired,
+        "packets_sent": cluster.network.packets_sent,
+        "packets_delivered": cluster.network.packets_delivered,
+        "final_alloc": cluster.allocations(),
+        "final_freq": cluster.frequencies(),
         "controller_actions": {
             "decision_cycles": stats.decision_cycles,
             "upscale_core": stats.upscale_core_actions,

@@ -41,7 +41,6 @@ __all__ = [
     "MonitorSet",
     "ReplicaConservationMonitor",
     "RequestConservationMonitor",
-    "ShardConservationMonitor",
     "TraceCausalityMonitor",
     "default_monitors",
 ]
@@ -74,14 +73,6 @@ class InvariantMonitor:
     """
 
     name = "abstract"
-
-    #: Whether the monitor's invariants still hold when evaluated on a
-    #: single shard of a partitioned simulation (DESIGN.md §12), where
-    #: the local cluster object hosts only a node subset and boundary
-    #: traffic makes local send/deliver counters asymmetric.  Monitors
-    #: whose checks are strictly per-node/per-container stay safe;
-    #: fleet-global ledgers and cross-node span trees are not.
-    shard_safe = True
 
     def __init__(self) -> None:
         self.violations: List[InvariantViolation] = []
@@ -160,11 +151,6 @@ class RequestConservationMonitor(InvariantMonitor):
     """
 
     name = "request-conservation"
-    #: A shard delivers boundary packets its local counter never sent
-    #: (and vice versa), so the local sent/delivered ledger is
-    #: legitimately asymmetric; the cross-shard replacement lives in
-    #: :class:`ShardConservationMonitor`.
-    shard_safe = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -396,9 +382,6 @@ class TraceCausalityMonitor(InvariantMonitor):
     """
 
     name = "trace-causality"
-    #: A shard observes only the hops whose destination is local, so
-    #: sampled span trees are structurally incomplete mid-fleet.
-    shard_safe = False
 
     def __init__(self, *, max_requests: int = 200) -> None:
         super().__init__()
@@ -620,78 +603,6 @@ class ReplicaConservationMonitor(InvariantMonitor):
                     )
 
 
-class ShardConservationMonitor(InvariantMonitor):
-    """No packet is lost or duplicated at a shard boundary.
-
-    Fed after a sharded run (see :func:`repro.exec.sharded.run_sharded`)
-    from the per-shard :meth:`~repro.sim.shard.ShardContext.ledger`
-    snapshots rather than armed on a live simulation — the boundary
-    channels span processes, so the evidence is collected at the edges
-    and audited centrally:
-
-    * every directed channel balances exactly: packets shard *i*
-      serialized toward shard *j* equal the packets *j* accepted from
-      *i* (a gap is a loss, an excess is a duplication);
-    * per-channel serial numbers arrived in strictly contiguous order
-      (``seq_errors == 0`` — reordering or replay at the pipe level);
-    * every registered cross-shard continuation was resolved by exactly
-      one response (``open_contexts == 0`` after the drain);
-    * invariant violations detected by the workers' own shard-safe
-      monitors are re-raised here so one audit point reports the fleet.
-    """
-
-    name = "shard-conservation"
-
-    def feed(
-        self,
-        ledgers: List[dict],
-        *,
-        time: float,
-        worker_violations=(),
-    ) -> None:
-        """Audit per-shard boundary ledgers (callable without arming)."""
-        by_shard = {led["shard"]: led for led in ledgers}
-        k = len(by_shard)
-
-        def fail(message: str) -> None:
-            self.violations.append(
-                InvariantViolation(time=time, monitor=self.name, message=message)
-            )
-
-        for i in range(k):
-            led = by_shard[i]
-            self.checks += 1
-            if led["seq_errors"]:
-                fail(
-                    f"shard {i} accepted {led['seq_errors']} boundary "
-                    f"packet(s) out of serial order (reordered or replayed)"
-                )
-            self.checks += 1
-            if led["open_contexts"]:
-                fail(
-                    f"shard {i} drained with {led['open_contexts']} "
-                    f"cross-shard continuation(s) never resolved"
-                )
-            for j in range(k):
-                if i == j:
-                    continue
-                self.checks += 1
-                sent = led["sent"][j]
-                got = by_shard[j]["received"][i]
-                if sent != got:
-                    what = "lost" if sent > got else "duplicated"
-                    fail(
-                        f"channel {i}->{j}: {sent} packet(s) serialized but "
-                        f"{got} accepted ({abs(sent - got)} {what} at the "
-                        f"boundary)"
-                    )
-        for v in worker_violations:
-            self.checks += 1
-            self.violations.append(
-                InvariantViolation(time=v[0], monitor=self.name, message=v[2])
-            )
-
-
 def default_monitors() -> List[InvariantMonitor]:
     """One fresh instance of every built-in monitor."""
     return [
@@ -718,36 +629,22 @@ class MonitorSet:
         self._armed = False
         self._finalized = False
 
-    def arm(
-        self,
-        sim: Simulator,
-        cluster: Cluster,
-        *,
-        controller=None,
-        client=None,
-        shard_safe_only: bool = False,
-    ) -> None:
-        """Arm every monitor (or, on a sharded worker's partial cluster,
-        only the ``shard_safe`` ones — the rest stay disarmed and are
-        skipped at finalize)."""
+    def arm(self, sim: Simulator, cluster: Cluster, *, controller=None, client=None) -> None:
         if self._armed:
             raise RuntimeError("MonitorSet already armed")
         self._armed = True
         for m in self.monitors:
-            if shard_safe_only and not m.shard_safe:
-                continue
             m.arm(sim, cluster, controller=controller, client=client)
 
     def finalize(self) -> None:
-        """Run end-of-run checks on every armed monitor, then disarm."""
+        """Run end-of-run checks on every monitor, then disarm them all."""
         if not self._armed:
             raise RuntimeError("MonitorSet finalized before arm")
         if self._finalized:
             raise RuntimeError("MonitorSet already finalized")
         self._finalized = True
         for m in self.monitors:
-            if m._armed:
-                m.finalize()
+            m.finalize()
         for m in self.monitors:
             m.disarm()
 

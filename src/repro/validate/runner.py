@@ -22,8 +22,8 @@ from repro.validate.scenarios import (
     Scenario,
     fault_matrix,
     horizontal_matrix,
+    multinode_matrix,
     scenario_matrix,
-    sharded_matrix,
     zoo_matrix,
 )
 
@@ -129,7 +129,7 @@ def run_matrix(
             + fault_matrix()
             + horizontal_matrix()
             + zoo_matrix()
-            + sharded_matrix()
+            + multinode_matrix()
         )
     goldens = load_goldens(golden_file)
     report = MatrixReport()

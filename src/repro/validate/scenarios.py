@@ -39,17 +39,17 @@ __all__ = [
     "FAULT_SCENARIOS",
     "HORIZONTAL_CONTROLLERS",
     "HORIZONTAL_SCENARIOS",
+    "MULTINODE_CONTROLLERS",
+    "MULTINODE_SCENARIOS",
     "SCENARIOS",
-    "SHARDED_CONTROLLERS",
-    "SHARDED_SCENARIOS",
     "WORKLOADS",
     "ZOO_CONTROLLERS",
     "ZOO_SCENARIOS",
     "Scenario",
     "fault_matrix",
     "horizontal_matrix",
+    "multinode_matrix",
     "scenario_matrix",
-    "sharded_matrix",
     "zoo_matrix",
 ]
 
@@ -349,21 +349,16 @@ def zoo_matrix(
     return cells
 
 
-#: Sharded-family controllers: only shardable ones are eligible
-#: (``Controller.shardable`` — strictly per-node state).
-SHARDED_CONTROLLERS: Tuple[str, ...] = ("null", "surgeguard")
+#: Multinode-family controllers: no control and the paper's system.
+MULTINODE_CONTROLLERS: Tuple[str, ...] = ("null", "surgeguard")
 
-#: Sharded-family scenarios (distinct names — the keys must not collide
+#: Multinode-family scenarios (distinct names — the keys must not collide
 #: with the base matrix's ``family/controller/steady`` cells).
-SHARDED_SCENARIOS: Tuple[str, ...] = ("sharded-steady", "sharded-spike")
+MULTINODE_SCENARIOS: Tuple[str, ...] = ("multinode-steady", "multinode-spike")
 
 
-def _sharded_cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
-    # jitter=0 makes the dynamics an exact invariant of the shard count
-    # (the only serial/sharded divergence is jitter-draw interleaving),
-    # so one committed golden pins serial, shards=1, and shards=2 alike.
-    # ``shards`` stays None: the REPRO_SHARDS environment (the CI matrix
-    # legs) decides how each cell actually executes.
+def _multinode_cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
+    # The only cells on a multi-node fabric without jitter.
     cfg = ExperimentConfig(
         workload=workload_key,
         controller_factory=spec(controller),
@@ -372,24 +367,24 @@ def _sharded_cell_config(workload_key: str, controller: str, scenario: str) -> E
         network=NetworkConfig(jitter=0.0),
         **_BASE,
     )
-    if scenario == "sharded-steady":
+    if scenario == "multinode-steady":
         return cfg
-    if scenario == "sharded-spike":
+    if scenario == "multinode-spike":
         return replace(cfg, **_SPIKE)
-    raise ValueError(f"unknown sharded scenario {scenario!r}")
+    raise ValueError(f"unknown multinode scenario {scenario!r}")
 
 
-def sharded_matrix(
+def multinode_matrix(
     *,
     workloads: Optional[List[str]] = None,
     controllers: Optional[List[str]] = None,
     scenarios: Optional[List[str]] = None,
 ) -> List[Scenario]:
-    """The shard-invariance cells: every workload family × {null,
-    surgeguard} × {steady, spike} on a 4-node, jitter-free fabric."""
+    """The multi-node cells: every workload family × {null, surgeguard}
+    × {steady, spike} on a 4-node, jitter-free fabric."""
     families = list(WORKLOADS) if workloads is None else workloads
-    ctrls = list(SHARDED_CONTROLLERS) if controllers is None else controllers
-    shapes = list(SHARDED_SCENARIOS) if scenarios is None else scenarios
+    ctrls = list(MULTINODE_CONTROLLERS) if controllers is None else controllers
+    shapes = list(MULTINODE_SCENARIOS) if scenarios is None else scenarios
     cells = []
     for family in families:
         try:
@@ -399,16 +394,16 @@ def sharded_matrix(
                 f"unknown workload family {family!r}; known: {sorted(WORKLOADS)}"
             ) from None
         for controller in ctrls:
-            if controller not in SHARDED_CONTROLLERS:
+            if controller not in MULTINODE_CONTROLLERS:
                 raise KeyError(
-                    f"unknown sharded controller {controller!r}; "
-                    f"known: {list(SHARDED_CONTROLLERS)}"
+                    f"unknown multinode controller {controller!r}; "
+                    f"known: {list(MULTINODE_CONTROLLERS)}"
                 )
             for scenario in shapes:
-                if scenario not in SHARDED_SCENARIOS:
+                if scenario not in MULTINODE_SCENARIOS:
                     raise KeyError(
-                        f"unknown sharded scenario {scenario!r}; "
-                        f"known: {list(SHARDED_SCENARIOS)}"
+                        f"unknown multinode scenario {scenario!r}; "
+                        f"known: {list(MULTINODE_SCENARIOS)}"
                     )
                 cells.append(
                     Scenario(
@@ -416,7 +411,7 @@ def sharded_matrix(
                         workload_key=workload_key,
                         controller=controller,
                         scenario=scenario,
-                        config=_sharded_cell_config(workload_key, controller, scenario),
+                        config=_multinode_cell_config(workload_key, controller, scenario),
                     )
                 )
     return cells

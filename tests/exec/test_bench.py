@@ -26,7 +26,6 @@ from repro.exec.bench import (
     bench_lb_dispatch,
     bench_memory,
     bench_packet_path,
-    bench_sharded,
     bench_users,
     main,
     run_benchmarks,
@@ -115,27 +114,6 @@ class TestBenchLbDispatch:
             bench_lb_dispatch(0)
 
 
-class TestBenchSharded:
-    @pytest.mark.bench
-    def test_small_cell_reports_consistent_row(self):
-        # A shrunken variant of the headline row: the speedup itself is
-        # machine-dependent (gated in CI against the committed report),
-        # but the structural invariants must hold at any size.
-        row = bench_sharded(0.25, n_nodes=4, shards=2)
-        assert row["n_nodes"] == 4
-        assert row["shards"] == 2
-        assert row["requests"] > 0
-        assert row["conservation_ok"] is True
-        assert row["rounds"] > 0
-        assert len(row["per_shard_cpu_seconds"]) == 2
-        assert row["speedup_basis"] in ("wall", "critical_path")
-        assert row["sharded_speedup"] > 0
-
-    def test_rejects_non_positive_duration(self):
-        with pytest.raises(ValueError):
-            bench_sharded(0.0)
-
-
 class TestReport:
     _SMALL = dict(
         n_events=20_000,
@@ -145,26 +123,23 @@ class TestReport:
     )
 
     def test_run_benchmarks_shape(self):
-        report = run_benchmarks(
-            skip_cell=True, skip_memory=True, skip_sharded=True, **self._SMALL
-        )
-        assert report["schema"] == 7
+        report = run_benchmarks(skip_cell=True, skip_memory=True, **self._SMALL)
+        assert report["schema"] == 8
         assert report["machine"]["cpu_count"] >= 1
         assert report["engine"]["events_per_sec"] > 0
-        assert "engine_density" not in report
-        assert "arrival_gen" not in report
         assert report["users"]["users_per_wall_second"] > 0
         assert report["packet_path"]["packets_per_sec"] > 0
         lb = report["lb_dispatch"]
         assert lb["replicas"] == 4
         assert set(lb["policies"]) == set(LB_POLICIES)
         assert lb["min_dispatches_per_sec"] > 0
-        assert "cell" not in report
-        assert "memory" not in report
-        assert "sharded" not in report
+        assert set(report) == {
+            "schema", "generated_at", "machine",
+            "engine", "users", "packet_path", "lb_dispatch",
+        }
 
     def test_memory_section_present_by_default(self):
-        report = run_benchmarks(skip_cell=True, skip_sharded=True, **self._SMALL)
+        report = run_benchmarks(skip_cell=True, **self._SMALL)
         mem = report["memory"]
         assert mem["packets"] == 5_000
         assert set(mem) == {"packets", "warmup_packets", "pooled", "unpooled"}
@@ -172,7 +147,7 @@ class TestReport:
     _SMALL_ARGV = [
         "--events", "20000", "--packets", "5000",
         "--users", "1000", "--lb-dispatches", "20000",
-        "--skip-cell", "--skip-sharded",
+        "--skip-cell",
     ]
 
     def test_cli_writes_valid_json(self, tmp_path, capsys):
@@ -182,7 +157,7 @@ class TestReport:
         )
         assert rc == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 7
+        assert report["schema"] == 8
         assert report["engine"]["events"] == 20_000
         assert report["engine"]["events_per_sec"] >= ENGINE_FLOOR_EPS
         assert report["packet_path"]["packets"] == 5_000
@@ -279,23 +254,6 @@ class TestHistory:
         append_history(report, str(out))
         (entry,) = report["history"]
         assert entry["lb_min_dispatches_per_sec"] == 456_789.0
-
-    def test_schema6_sharded_row_is_folded(self, tmp_path):
-        out = tmp_path / "BENCH_exec.json"
-        prior = {
-            "schema": 6,
-            "generated_at": "t0",
-            "sharded": {
-                "sharded_speedup": 2.34,
-                "speedup_basis": "critical_path",
-            },
-        }
-        out.write_text(json.dumps(prior))
-        report = {"schema": 6}
-        append_history(report, str(out))
-        (entry,) = report["history"]
-        assert entry["sharded_speedup"] == 2.34
-        assert entry["sharded_speedup_basis"] == "critical_path"
 
     def test_history_is_capped_at_newest_entries(self, tmp_path):
         out = tmp_path / "BENCH_exec.json"

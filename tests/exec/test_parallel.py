@@ -87,27 +87,11 @@ class TestRunReps:
         with pytest.raises(ValueError, match="seeds"):
             run_reps(cfg, 2, jobs=1, seeds=[1, 2, 3])
 
-    def test_sharded_reps_cap_jobs_to_cpu_budget(self, monkeypatch):
-        # jobs × shards worker processes must not oversubscribe the
-        # container: with 2 CPUs and 2-shard reps, jobs=4 caps to 1
-        # (which takes the serial in-process path).
-        calls = []
-        monkeypatch.setattr("repro.exec.pool.cpu_jobs", lambda: 2)
-        monkeypatch.setattr(
-            "repro.exec.pool._rep_worker",
-            lambda payload: calls.append(payload[2]),
-        )
-        cfg = dataclasses.replace(_cell_config("chain"), shards=2)
-        with pytest.warns(RuntimeWarning, match="oversubscribes"):
-            run_reps(cfg, 2, jobs=4, targets=object())
-        assert calls == [3, 4]
-
-    def test_unsharded_reps_do_not_warn(self, monkeypatch):
+    def test_reps_do_not_warn(self, monkeypatch):
         monkeypatch.setattr("repro.exec.pool.cpu_jobs", lambda: 2)
         monkeypatch.setattr(
             "repro.exec.pool._rep_worker", lambda payload: payload[2]
         )
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
         cfg = _cell_config("chain")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -7,8 +7,8 @@ surface, push nothing back out of order, and compact once cancelled
 entries pass the floor *and* outnumber the live ones.  Random
 interleavings of schedule, cancel, respawn-from-callback, partial
 ``run(max_events=...)`` and ``run(until=...)`` must produce the same
-fire log, the same ``events_pending`` / ``live_events_pending``
-accounting, and the same ``next_event_time()`` after every op.
+fire log and the same ``events_pending`` / ``live_events_pending``
+accounting after every op.
 
 ``Simulator._COMPACT_MIN`` is lowered for the run so compaction fires
 inside short programs too.  Plain ``==`` throughout — no ``approx``.
@@ -95,10 +95,6 @@ class _Reference:
             self._entries.pop(0)
             self._cancelled -= 1
 
-    def next_event_time(self):
-        self._drop_cancelled_heads()
-        return self._entries[0].time if self._entries else math.inf
-
     def run(self, until=None, max_events=None):
         budget = math.inf if max_events is None else max_events
         while budget > 0:
@@ -136,9 +132,7 @@ def _execute(ops, sim):
         return cb
 
     def snapshot():
-        before = (sim.now, sim.events_pending, sim.live_events_pending)
-        horizon = sim.next_event_time()
-        trace.append(before + (horizon, sim.events_pending, sim.live_events_pending))
+        trace.append((sim.now, sim.events_pending, sim.live_events_pending))
 
     for kind, a, b in ops:
         if kind == "schedule":

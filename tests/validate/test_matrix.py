@@ -20,16 +20,16 @@ from repro.validate.scenarios import (
     FAULT_SCENARIOS,
     HORIZONTAL_CONTROLLERS,
     HORIZONTAL_SCENARIOS,
+    MULTINODE_CONTROLLERS,
+    MULTINODE_SCENARIOS,
     SCENARIOS,
-    SHARDED_CONTROLLERS,
-    SHARDED_SCENARIOS,
     WORKLOADS,
     ZOO_CONTROLLERS,
     ZOO_SCENARIOS,
     fault_matrix,
     horizontal_matrix,
+    multinode_matrix,
     scenario_matrix,
-    sharded_matrix,
     zoo_matrix,
 )
 
@@ -147,12 +147,12 @@ class TestMatrixConstruction:
         with pytest.raises(KeyError):
             zoo_matrix(workloads=["nope"])
 
-    def test_sharded_matrix_shape(self):
-        cells = sharded_matrix()
+    def test_multinode_matrix_shape(self):
+        cells = multinode_matrix()
         assert len(cells) == (
-            len(WORKLOADS) * len(SHARDED_CONTROLLERS) * len(SHARDED_SCENARIOS)
+            len(WORKLOADS) * len(MULTINODE_CONTROLLERS) * len(MULTINODE_SCENARIOS)
         )
-        # Sharded keys never collide with the other families.
+        # Multinode keys never collide with the other families.
         other = {
             c.key
             for c in scenario_matrix()
@@ -163,28 +163,26 @@ class TestMatrixConstruction:
         assert not other & {c.key for c in cells}
         for cell in cells:
             cfg = cell.config
-            # jitter=0 is what makes one golden pin every shard count.
             assert cfg.network is not None and cfg.network.jitter == 0.0, cell.key
-            assert cfg.shards is None, cell.key  # REPRO_SHARDS decides
             assert cfg.n_nodes == 4, cell.key
             assert cfg.faults is None and cfg.replicas is None, cell.key
-            if cell.scenario == "sharded-steady":
+            if cell.scenario == "multinode-steady":
                 assert cfg.spike_magnitude is None, cell.key
             else:
                 assert cfg.spike_magnitude is not None, cell.key
 
-    def test_sharded_matrix_filtering_and_rejection(self):
-        cells = sharded_matrix(workloads=["chain"], controllers=["surgeguard"])
+    def test_multinode_matrix_filtering_and_rejection(self):
+        cells = multinode_matrix(workloads=["chain"], controllers=["surgeguard"])
         assert [c.key for c in cells] == [
-            "chain/surgeguard/sharded-steady",
-            "chain/surgeguard/sharded-spike",
+            "chain/surgeguard/multinode-steady",
+            "chain/surgeguard/multinode-spike",
         ]
         with pytest.raises(KeyError):
-            sharded_matrix(controllers=["statuscale"])
+            multinode_matrix(controllers=["statuscale"])
         with pytest.raises(KeyError):
-            sharded_matrix(scenarios=["steady"])
+            multinode_matrix(scenarios=["steady"])
         with pytest.raises(KeyError):
-            sharded_matrix(workloads=["nope"])
+            multinode_matrix(workloads=["nope"])
 
     def test_scenario_shapes(self):
         by_key = {c.key: c for c in scenario_matrix(workloads=["chain"])}
@@ -208,7 +206,7 @@ class TestGoldenFile:
             + fault_matrix()
             + horizontal_matrix()
             + zoo_matrix()
-            + sharded_matrix()
+            + multinode_matrix()
         }
 
     def test_fault_goldens_record_fault_activity(self):
@@ -271,12 +269,23 @@ class TestGoldenFile:
         ), "goldens.json not in canonical --update-golden format"
 
 
+#: The tier-1 cells, by golden key: the cheapest base cell, and its
+#: 4-node, jitter-free counterpart.
+_TIER1_CELLS = {
+    "chain/null/steady": scenario_matrix,
+    "chain/null/multinode-steady": multinode_matrix,
+}
+
+
 class TestMatrixTier1Cell:
-    def test_one_cell_matches_golden(self):
-        """Cheapest cell in tier-1: catches drift on every PR."""
-        cells = scenario_matrix(
-            workloads=["chain"], controllers=["null"], scenarios=["steady"]
+    @pytest.mark.parametrize("key", list(_TIER1_CELLS))
+    def test_one_cell_matches_golden(self, key):
+        """Cheapest cells in tier-1: catch drift on every PR."""
+        family, controller, scenario = key.split("/")
+        cells = _TIER1_CELLS[key](
+            workloads=[family], controllers=[controller], scenarios=[scenario]
         )
+        assert [c.key for c in cells] == [key]
         report = run_matrix(cells, verbose=False)
         assert report.ok, [
             (c.scenario.key, c.violations, c.diffs) for c in report.outcomes
