@@ -39,7 +39,6 @@ def run(factory):
             duration=SURGE_LEN + 6.0,
             warmup=3.0,
             record_timelines=True,
-            trace_runtimes=True,
             seed=1,
         )
     )

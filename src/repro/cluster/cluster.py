@@ -77,8 +77,6 @@ class ClusterConfig:
     initial_frequency: Optional[float] = None
     #: Connection-establishment latency for connection-per-request edges.
     conn_setup_latency: float = 20e-6
-    #: Keep per-request traces in runtimes (figures/tests only).
-    trace_runtimes: bool = False
     #: Record (t, container, value) allocation/frequency change events
     #: (Fig. 14 timelines).
     record_timelines: bool = False
@@ -275,7 +273,7 @@ class Cluster:
             cores=spec.initial_cores, frequency=config.initial_frequency,
         )
         node.add_container(container)
-        runtime = ContainerRuntime(sim, rname, trace=config.trace_runtimes)
+        runtime = ContainerRuntime(sim, rname)
         pools = {
             e.child: ConnectionPool(
                 sim,

@@ -269,12 +269,3 @@ class PacketPool:
     def free(self) -> int:
         """Packets currently sitting in the free list."""
         return len(self._free)
-
-    def stats(self) -> dict:
-        """Picklable counter snapshot for the allocation benchmark."""
-        return {
-            "constructed": self.constructed,
-            "recycled": self.recycled,
-            "released": self.released,
-            "free": len(self._free),
-        }

@@ -77,16 +77,11 @@ class ContainerRuntime:
         The simulator (timestamps).
     name:
         Container name (matches the :class:`~repro.cluster.container.Container`).
-    trace:
-        When true, keep per-request tuples ``(t_done, exec_time, conn_wait)``
-        for figure generation and tests.  Off in large benchmark runs.
     """
 
-    def __init__(self, sim: Simulator, name: str, *, trace: bool = False):
+    def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self.trace = trace
-        self.records: list[tuple[float, float, float]] = []
         self._reset_window()
         self._window_start = sim.now
         # Live upscale stamp (set by Escalator on a queueBuildup violation).
@@ -151,8 +146,6 @@ class ContainerRuntime:
         self.total_exec_time += exec_time
         self.total_exec_metric += metric
         self.total_conn_wait += conn_wait
-        if self.trace:
-            self.records.append((self.sim.now, exec_time, conn_wait))
 
     # ----------------------------------------------------------- collection
     def collect(self) -> RuntimeWindow:

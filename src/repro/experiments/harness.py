@@ -19,6 +19,7 @@ controller-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -99,8 +100,6 @@ class ExperimentConfig:
     pacing: str = "uniform"
     #: Record allocation/frequency timelines (Fig. 14).
     record_timelines: bool = False
-    #: Keep per-request traces in runtimes (slow; figures only).
-    trace_runtimes: bool = False
     #: Extra simulated time after injection stops, to drain in-flight
     #: requests before reading final metrics.
     drain: float = 2.0
@@ -130,6 +129,20 @@ class ExperimentConfig:
     #: :class:`~repro.cluster.network.NetworkConfig`).  The multinode
     #: validate family sets ``jitter=0`` here.
     network: Optional[NetworkConfig] = None
+
+    def __post_init__(self) -> None:
+        # An empty window would summarize to a VV of 0.0, which reads as
+        # a perfect result; negative lengths fail deep inside the run.
+        for name in ("duration", "profile_duration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("warmup", "drain"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
 
     def resolved_rate(self) -> float:
         if self.base_rate is not None:
@@ -225,7 +238,6 @@ def _build_cluster(
         cores_per_node=cores,
         placement=cfg.placement if cfg.n_nodes > 1 else "pack",
         record_timelines=record,
-        trace_runtimes=cfg.trace_runtimes,
         replicas=cfg.replicas if armed else None,
         lb_policy=cfg.lb_policy,
         **extra,

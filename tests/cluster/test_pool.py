@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.packet import (
     REQUEST,
     RESPONSE,
@@ -19,7 +20,11 @@ from repro.cluster.packet import (
     PoolError,
     RpcPacket,
 )
+from repro.services.registry import get_workload
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
+from repro.workload.arrivals import RateSchedule
+from repro.workload.generator import OpenLoopClient
 
 
 def live_pool(**kw):
@@ -82,18 +87,6 @@ class TestAcquireRelease:
         assert other is not pkt
         assert pool.recycled == 0
         assert pool.constructed == 2
-
-    def test_stats_snapshot(self):
-        pool = live_pool()
-        pkt = pool.acquire(1, REQUEST, "a", "b", 0.0)
-        pool.release(pkt)
-        pool.acquire(2, REQUEST, "a", "b", 0.0)
-        assert pool.stats() == {
-            "constructed": 1,
-            "recycled": 1,
-            "released": 1,
-            "free": 0,
-        }
 
 
 class TestPoisonDebugMode:
@@ -258,3 +251,48 @@ class TestHandleRecycling:
         sim.schedule(0.0, lambda: None)
         assert sim.handles_recycled == 1
         assert sim.step()
+
+
+class TestSteadyStateChurn:
+    """Fresh objects built per packet by a real cluster under open-loop load.
+
+    The counts come from the recyclers themselves, so they are exact on
+    any machine.  Warm-up fills both free lists; after it, a pooled run
+    should serve every packet and handle from them.
+    """
+
+    WARMUP, MEASURE = 0.5, 1.0
+    #: Fresh RpcPacket + EventHandle constructions allowed per 100k sends.
+    CEILING_PER_100K = 2_000
+
+    def measure(self, monkeypatch, pool):
+        monkeypatch.setenv("REPRO_POOL", pool)
+        workload = get_workload("chain")
+        sim = Simulator()
+        cluster = Cluster(
+            sim, workload.build(), ClusterConfig(n_nodes=1), RngRegistry(1)
+        )
+        net = cluster.network
+        client = OpenLoopClient(
+            sim, cluster, RateSchedule(workload.base_rate),
+            duration=self.WARMUP + self.MEASURE,
+        )
+        client.begin()
+        sim.run(until=self.WARMUP)
+        sent0, packets0, handles0 = (
+            net.packets_sent, net.pool.constructed, sim.handles_constructed
+        )
+        sim.run(until=self.WARMUP + self.MEASURE)
+        sent = net.packets_sent - sent0
+        assert sent > 10_000
+        packets = net.pool.constructed - packets0
+        return sent, packets, sim.handles_constructed - handles0
+
+    def test_pooled_run_recycles_packets_and_handles(self, monkeypatch):
+        sent, packets, handles = self.measure(monkeypatch, "1")
+        assert (packets + handles) * 100_000 <= self.CEILING_PER_100K * sent
+
+    def test_unpooled_run_builds_one_packet_per_send(self, monkeypatch):
+        sent, packets, handles = self.measure(monkeypatch, "0")
+        assert packets == sent
+        assert handles >= sent

@@ -79,11 +79,6 @@ class TestMetrics:
         assert w.avg_time_from_start == pytest.approx(4e-3)
         assert rt.total_time_from_start == pytest.approx(8e-3)
 
-    def test_trace_records_kept_when_enabled(self, sim):
-        rt = ContainerRuntime(sim, "svc", trace=True)
-        rt.on_complete(1e-3, 0.0)
-        assert rt.records == [(0.0, 1e-3, 0.0)]
-
 
 class TestHintRelay:
     def test_incoming_hints_counted(self, sim, rt):

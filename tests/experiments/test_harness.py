@@ -62,6 +62,25 @@ class TestProfiling:
             cfg.resolved_rate()
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("duration", 0.0),
+        ("duration", -1.0),
+        ("duration", float("nan")),
+        ("profile_duration", 0.0),
+        ("profile_duration", float("inf")),
+        ("warmup", -0.5),
+        ("warmup", float("nan")),
+        ("drain", -5.0),
+        ("drain", float("inf")),
+    ],
+)
+def test_bad_run_length_rejected_at_construction(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        ExperimentConfig(workload="chain", **{name: value})
+
+
 class TestMeasuredRun:
     def test_measurement_window_excludes_warmup(self):
         cfg = mini_config(NullController)
