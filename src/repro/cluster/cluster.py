@@ -469,91 +469,28 @@ class Cluster:
 
     # --------------------------------------------------------------- ingress
     def client_send(
-        self,
-        request_id: int,
-        on_response: Callable[[RpcPacket], None],
-        *,
-        upscale: int = 0,
-        on_error: Optional[Callable[[RpcPacket], None]] = None,
+        self, request_id: int, on_response: Callable[[Optional[RpcPacket]], None]
     ) -> None:
         """Inject one end-to-end request at the application root.
 
         ``start_time`` is stamped now — the simulation equivalent of the
         first container setting it, since the client→root hop is part of
-        the end-to-end budget either way.
+        the end-to-end budget either way.  The request is a pooled packet
+        that the serving instance releases at completion.
 
-        ``on_error`` fires instead of ``on_response`` when the RPC
-        resilience layer is armed and the call exhausts its retries; it
-        defaults to ``on_response`` with a synthetic ``error=True``
-        response so legacy callers still observe a completion.
+        ``on_response`` fires once with the response (check ``error``),
+        or with ``None`` when an armed RPC layer exhausts the call.
         """
         self._ingress_count += 1
-        if self.rpc is None:
-            # Direct path: the packet's ownership is unambiguous (the
-            # serving instance releases it at completion), so it comes
-            # from the pool.
-            self.network.send(
-                self.network.pool.acquire(
-                    request_id,
-                    REQUEST,
-                    CLIENT,
-                    self.app.root,
-                    self.sim.now,
-                    upscale,
-                    context=on_response,
-                )
-            )
-            return
-        # RPC path: the caller retains the packet across retry attempts
-        # while a slow server may still hold the same object (duplicated
-        # server work is real and intended), so requests stay unmanaged.
-        pkt = RpcPacket(
-            request_id=request_id,
-            kind=REQUEST,
-            src=CLIENT,
-            dst=self.app.root,
-            start_time=self.sim.now,
-            upscale=upscale,
+        net = self.network
+        pkt = net.pool.acquire(
+            request_id, REQUEST, CLIENT, self.app.root, self.sim.now,
+            context=on_response,
         )
-        if on_error is None:
-            def on_error(failed: RpcPacket) -> None:
-                on_response(failed.make_response(src=self.app.root, error=True))
-        self.rpc.call(pkt, on_response, on_error)
-
-    def client_sender(self) -> Callable[[int, Callable[[RpcPacket], None]], None]:
-        """Prebound direct-path ingress for per-arrival hot loops.
-
-        Binds the pool, network, root, and clock once so the open-loop
-        client's injection path skips the attribute chains and keyword
-        plumbing of :meth:`client_send` on every request.  Identical
-        observable behavior (same acquire/send sequence, same
-        ``ingress_count`` accounting); only valid while ``self.rpc`` is
-        ``None`` — armed-fault runs must keep calling
-        :meth:`client_send`, which callers check per injection exactly as
-        before.
-        """
-        acquire = self.network.pool.acquire
-        send = self.network.send
-        root = self.app.root
-        sim = self.sim
-
-        def sender(
-            request_id: int, on_response: Callable[[RpcPacket], None]
-        ) -> None:
-            self._ingress_count += 1
-            send(
-                acquire(
-                    request_id,
-                    REQUEST,
-                    CLIENT,
-                    root,
-                    sim.now,
-                    0,
-                    context=on_response,
-                )
-            )
-
-        return sender
+        if self.rpc is None:
+            net.send(pkt)
+        else:
+            self.rpc.call(pkt, on_response)
 
     @staticmethod
     def _client_rx(pkt: RpcPacket) -> None:

@@ -218,34 +218,26 @@ class ServiceInstance:
             raise RuntimeError(f"{self.name!r}: shutdown with live invocations")
         self._down = True
 
-    def _send_child(self, out: RpcPacket, on_reply, on_error) -> None:
-        """Dispatch one child request: direct send, or via the RPC layer.
+    def _call_child(self, inv: _Invocation, dst: str, on_reply) -> None:
+        """Send ``inv``'s job to child ``dst``: directly, or via the RPC layer.
 
-        ``on_reply(resp)`` fires on any response (check ``resp.error``);
-        ``on_error(pkt)`` fires only from the RPC layer, on retry
-        exhaustion.  The direct path is the fault-free hot path and is
-        kept verbatim (one ``is None`` check of separation).
+        The request is a pooled packet either way, and the server that
+        completes it releases it.  ``on_reply(resp)`` fires once with the
+        response (check ``resp.error``), or with ``None`` when the RPC
+        layer exhausts the call.  The direct path is the fault-free hot
+        path (one ``is None`` check of separation).
         """
+        out = self.network.pool.fork_downstream(
+            inv.pkt,
+            dst=dst,
+            src=self.name,
+            upscale=self.runtime.outgoing_upscale(inv.upscale_in),
+        )
         if self.rpc is None:
             out.context = on_reply
             self.network.send(out)
         else:
-            self.rpc.call(out, on_reply, on_error)
-
-    def _fork(self, inv: _Invocation, dst: str) -> RpcPacket:
-        """Next-hop request packet for ``inv``'s job.
-
-        Pool-managed only on the direct path: under the RPC layer the
-        caller's ``_Call`` retains the packet across retry attempts while
-        a slow server may still be working on the same object, so there
-        is no single point that could prove it dead and release it.
-        """
-        upscale = self.runtime.outgoing_upscale(inv.upscale_in)
-        if self.rpc is None:
-            return self.network.pool.fork_downstream(
-                inv.pkt, dst=dst, src=self.name, upscale=upscale
-            )
-        return inv.pkt.fork_downstream(dst=dst, src=self.name, upscale=upscale)
+            self.rpc.call(out, on_reply)
 
     # ------------------------------------------------------------- children
     def _after_pre(self, inv: _Invocation) -> None:
@@ -270,11 +262,10 @@ class ServiceInstance:
             if inv.dead:
                 return  # pool was flushed with the crash; do not send
             inv.conn_wait += wait
-            out = self._fork(inv, edge.child)
-            self._send_child(
-                out,
+            self._call_child(
+                inv,
+                edge.child,
                 lambda resp: self._sequential_child_done(inv, pool, resp),
-                lambda _pkt: self._sequential_child_done(inv, pool, None),
             )
 
         pool.acquire(granted)
@@ -304,11 +295,10 @@ class ServiceInstance:
             if inv.dead:
                 return  # pool was flushed with the crash; do not send
             inv.par_waits.append(wait)
-            out = self._fork(inv, edge.child)
-            self._send_child(
-                out,
+            self._call_child(
+                inv,
+                edge.child,
                 lambda resp: self._parallel_child_done(inv, pool, resp),
-                lambda _pkt: self._parallel_child_done(inv, pool, None),
             )
 
         pool.acquire(granted)
@@ -350,8 +340,8 @@ class ServiceInstance:
         pkt = inv.pkt
         net.send(net.pool.make_response(pkt, src=self.name))
         # Server-side release point: the request's life ends once its
-        # response is built (a no-op for unmanaged packets, i.e. whenever
-        # the RPC layer shares ownership with a possibly-live retry).
+        # response is built.  An RPC caller keeps the call's fields, never
+        # this packet, so a retry racing it is a packet of its own.
         net.pool.release(pkt)
 
     def _finish_error(self, inv: _Invocation) -> None:

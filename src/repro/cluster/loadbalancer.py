@@ -12,10 +12,12 @@ produces, so the golden fingerprints cannot tell the two apart.
 The LB sits at the *top* of :meth:`Network.send` (see
 ``cluster/network.py``): REQUEST packets addressed to a virtual (service)
 name are resolved to a concrete replica endpoint before routing.  RPC
-retries re-resolve too — a ``clone_retry`` keeps its concrete
-destination, but every replica endpoint is also aliased to its
-:class:`ReplicaSet`, so a retry aimed at a crashed replica is re-routed
-through the policy and lands on a survivor.
+retries re-resolve too: a retry is addressed to the call's destination,
+the service name, so it goes through the policy again and a retry after
+a crashed replica lands on a survivor.  Every replica endpoint is also
+aliased to its :class:`ReplicaSet`, so a request addressed to a
+concrete replica re-resolves the same way; policies read nothing of the
+packet but its ``request_id``, so either address routes identically.
 
 Lifecycle: ``WARMING -> READY -> DRAINING -> DOWN`` (and back, on
 revival).  A warming replica holds its cores (that *is* the spin-up
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.cluster.container import Container
@@ -265,9 +267,6 @@ class ReplicaSet:
     def add(self, replica: Replica) -> None:
         self.replicas.append(replica)
 
-    def ready(self) -> List[Replica]:
-        return [r for r in self.replicas if r.state == READY]
-
     def by_name(self, name: str) -> Replica:
         for r in self.replicas:
             if r.name == name:
@@ -291,15 +290,3 @@ class ReplicaSet:
         self.dispatched += 1
         return r.name
 
-
-def virtual_aliases(rset: ReplicaSet) -> Dict[str, ReplicaSet]:
-    """Endpoint-name -> set map entries for one replica set.
-
-    Covers the service name (replica 0's endpoint) *and* every numbered
-    replica endpoint, so in-place retries addressed to a concrete replica
-    re-resolve through the policy.
-    """
-    out = {rset.service: rset}
-    for r in rset.replicas:
-        out[r.name] = rset
-    return out

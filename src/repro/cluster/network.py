@@ -73,10 +73,12 @@ class NetworkConfig:
     jitter: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.intra_node_latency < 0 or self.inter_node_latency < 0:
-            raise ValueError("latencies must be non-negative")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
+        for name in ("intra_node_latency", "inter_node_latency", "jitter"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
 
 
 @dataclass
@@ -108,12 +110,14 @@ class Network:
         self.sim = sim
         self.config = config
         self.rng = rng
-        #: Free-list recycler for hot-path packets.  The network owns it
-        #: because the network is the one place every packet's life ends:
-        #: responses are released centrally in :meth:`_deliver` once the
-        #: destination handler returns (nothing retains a response —
-        #: callers copy what they need synchronously), and an armed loss
-        #: window releases what it drops.
+        #: Free-list recycler and the one builder of packets: client
+        #: requests, downstream requests, responses and RPC retries all
+        #: come from it.  The network owns it because the network is the
+        #: one place every packet passes: responses are released centrally
+        #: in :meth:`_deliver` once the destination handler returns
+        #: (nothing retains a response — callers copy what they need
+        #: synchronously), and an armed loss window or an unroutable
+        #: request releases what it discards.  Servers release requests.
         self.pool = PacketPool()
         self._endpoints: Dict[str, Tuple[Optional[Node], Endpoint]] = {}
         self._surges: List[_LatencySurge] = []
@@ -129,7 +133,8 @@ class Network:
         # Load-balancer tier: virtual endpoint name -> ReplicaSet.  Empty
         # unless the cluster armed replication; the unarmed cost is one
         # falsy-dict check per send.  Maps the service name *and* every
-        # replica endpoint, so retries to a concrete replica re-resolve.
+        # replica endpoint, so a request addressed to a concrete replica
+        # re-resolves too.
         self._virtual: Dict[str, object] = {}
         #: REQUESTs the LB could not place (no READY replica); the packet
         #: is released, not sent — mirrors a connection-refused at the VIP.
@@ -169,10 +174,6 @@ class Network:
         """Alias ``name`` to a replica set for LB resolution on send."""
         self._virtual[name] = rset
 
-    def endpoint_node(self, name: str) -> Optional[Node]:
-        """The node hosting ``name`` (``None`` for external endpoints)."""
-        return self._endpoints[name][0]
-
     def _route(self, src: str, dst: str) -> Tuple[float, Optional[Node], Endpoint]:
         """Resolve and cache the (base latency, dst node, handler) of a pair."""
         if dst not in self._endpoints:
@@ -197,6 +198,9 @@ class Network:
         packet and are dropped immediately rather than kept on the
         timeline.
         """
+        for name, value in (("start", start), ("end", end), ("extra", extra)):
+            if not math.isfinite(value):
+                raise ValueError(f"latency surge {name} must be finite, got {value!r}")
         if end <= start or extra < 0:
             raise ValueError("invalid latency surge window")
         if end <= self.sim.now:

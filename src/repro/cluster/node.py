@@ -111,7 +111,7 @@ class Node:
             )
         container.set_cores(cores)
 
-    def allocation_errors(self, eps: float = 1e-6) -> List[str]:
+    def feasibility_problems(self, eps: float = 1e-6) -> List[str]:
         """Core-feasibility problems on this node, as human-readable strings.
 
         Empty list = feasible: every container holds a positive

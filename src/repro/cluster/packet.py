@@ -17,19 +17,21 @@ Packets also carry plumbing for the simulation itself (routing ids and a
 reference to the in-flight call record); controllers never read those.
 
 **Allocation discipline.**  One packet per hop is the dominant hot-path
-allocation, so the network owns a :class:`PacketPool`: packets built by
-the pool are returned to a free list at explicit release points (central
-response release after delivery, loss-window drop, server-side request
-release at completion — see DESIGN.md §8) and reused by the next
-acquire.  Pool management is tracked per object in ``_pool_state``, so
-packets constructed directly (tests, the RPC retry layer, external
-tooling) are simply never recycled; releasing one is a no-op and
+allocation, so the network owns a :class:`PacketPool`, and the pool is
+the only place the simulator builds a packet: the client's request,
+every downstream request, every response and every RPC retry.  Packets
+go back to a free list at explicit release points (central response
+release after delivery, loss-window drop, server-side request release
+at completion — see DESIGN.md §8) and are reused by the next acquire.
+Pool management is tracked per object in ``_pool_state``, so a packet
+built outside the pool (a test, or any packet under ``REPRO_POOL=0``)
+is simply never recycled; releasing one is a no-op and
 double-releasing a pooled one always raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro.sim.recycle import pool_debug, pool_enabled
@@ -40,7 +42,7 @@ REQUEST = "request"
 RESPONSE = "response"
 
 # ``_pool_state`` values.
-_UNMANAGED = 0  # directly constructed: never enters a free list
+_UNMANAGED = 0  # built outside the pool: never enters a free list
 _LIVE = 1  # acquired from a pool, currently in flight
 _FREED = 2  # sitting in a free list; any use is a bug
 
@@ -84,50 +86,6 @@ class RpcPacket:
     #: semantics never depend on it.
     _pool_state: int = field(default=0, init=False, repr=False, compare=False)
 
-    def fork_downstream(self, dst: str, src: str, upscale: int) -> "RpcPacket":
-        """Build the request packet for the next hop of the same job.
-
-        ``start_time`` propagates unchanged; the ``upscale`` TTL is supplied
-        by the caller (the container runtime applies the decrement/stamping
-        rules — see :meth:`repro.cluster.runtime.ContainerRuntime.outgoing_upscale`).
-
-        Built with :func:`dataclasses.replace` so a future field is
-        *propagated by default* and has to be reset here deliberately
-        (``tests/cluster/test_packet.py`` pins the full field ledger).
-        """
-        return replace(
-            self,
-            kind=REQUEST,
-            src=src,
-            dst=dst,
-            upscale=upscale,
-            send_time=0.0,
-            error=False,
-            context=None,
-        )
-
-    def make_response(self, src: str, *, error: bool = False) -> "RpcPacket":
-        """Build the response packet back to this packet's sender."""
-        return replace(
-            self,
-            kind=RESPONSE,
-            src=src,
-            dst=self.src,
-            upscale=0,
-            send_time=0.0,
-            error=error,
-        )
-
-    def clone_retry(self) -> "RpcPacket":
-        """Fresh copy of a request for an RPC retransmission.
-
-        A new object on purpose: the network mutates ``send_time`` and
-        the RPC layer rebinds ``context`` per attempt, so attempts must
-        not share packet state.  Everything else — including ``error`` —
-        propagates verbatim.
-        """
-        return replace(self, send_time=0.0, context=None)
-
 
 def _poison_context(*_args: Any, **_kwargs: Any) -> None:
     """Installed as ``context`` on released packets in debug mode."""
@@ -152,8 +110,9 @@ class PacketPool:
     * Packets the pool hands out are ``_LIVE`` and must be released
       exactly once; a second :meth:`release` raises even outside debug
       mode (state corruption would otherwise be silent and seed-dependent).
-    * Directly-constructed packets are ``_UNMANAGED``; releasing them is
-      a no-op, so release points don't need to know how a packet was made.
+    * Packets built outside the pool (tests, or any packet while the
+      pool is disabled) are ``_UNMANAGED``; releasing them is a no-op,
+      so release points don't need to know how a packet was made.
     * A *missed* release merely leaks the object to the garbage
       collector — exactly the pre-pool behavior, never a correctness bug.
     """
@@ -221,7 +180,13 @@ class PacketPool:
     def fork_downstream(
         self, pkt: RpcPacket, *, dst: str, src: str, upscale: int
     ) -> RpcPacket:
-        """Pooled :meth:`RpcPacket.fork_downstream` for the hot path."""
+        """The request packet for the next hop of ``pkt``'s job.
+
+        ``start_time`` propagates unchanged; the ``upscale`` TTL is
+        supplied by the caller (the container runtime applies the
+        decrement/stamping rules — see
+        :meth:`repro.cluster.runtime.ContainerRuntime.outgoing_upscale`).
+        """
         return self.acquire(
             pkt.request_id, REQUEST, src, dst, pkt.start_time, upscale
         )
@@ -229,7 +194,11 @@ class PacketPool:
     def make_response(
         self, pkt: RpcPacket, *, src: str, error: bool = False
     ) -> RpcPacket:
-        """Pooled :meth:`RpcPacket.make_response` for the hot path."""
+        """The response to request ``pkt``, routed back to its sender.
+
+        It carries the request's ``context`` (the caller's continuation)
+        and ``start_time``, and no ``upscale`` hint.
+        """
         return self.acquire(
             pkt.request_id,
             RESPONSE,

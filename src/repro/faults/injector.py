@@ -152,9 +152,10 @@ class FaultInjector:
                 if float(rng.random()) < windows[i].rate:
                     packet.send_time = t
                     net.packets_dropped += 1
-                    # Drop release point: a lost packet's life ends here
-                    # (no-op for the unmanaged requests the RPC layer
-                    # owns; pooled responses go back to the free list).
+                    # Drop release point: a lost packet's life ends here.
+                    # Requests and responses alike go back to the free
+                    # list; an RPC caller keeps only the call's fields and
+                    # retries with a fresh packet.
                     net.pool.release(packet)
                     return
             original(packet)

@@ -17,6 +17,7 @@ was never imported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -29,6 +30,19 @@ __all__ = [
 ]
 
 
+def _require_finite(what: str, obj, *names: str) -> None:
+    """Reject NaN and infinite values in ``obj``'s named fields.
+
+    Without this a NaN bound disables its window or backoff silently, and
+    an infinite time fails deep inside the run.  ``None`` (an optional
+    field left unset) passes.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{what} {name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LossWindow:
     """Drop each packet sent in ``[start, end)`` with probability ``rate``."""
@@ -38,6 +52,7 @@ class LossWindow:
     rate: float
 
     def __post_init__(self) -> None:
+        _require_finite("loss window", self, "start", "end")
         if self.end <= self.start:
             raise ValueError(f"empty loss window [{self.start}, {self.end})")
         if not 0.0 < self.rate <= 1.0:
@@ -53,6 +68,7 @@ class ContainerCrash:
     restart_delay: float
 
     def __post_init__(self) -> None:
+        _require_finite("crash", self, "time", "restart_delay")
         if self.time < 0:
             raise ValueError("crash time must be non-negative")
         if self.restart_delay <= 0:
@@ -74,6 +90,7 @@ class ControllerStall:
     end: float
 
     def __post_init__(self) -> None:
+        _require_finite("stall", self, "start", "end")
         if self.end <= self.start:
             raise ValueError(f"empty stall window [{self.start}, {self.end})")
 
@@ -110,6 +127,10 @@ class RpcPolicy:
     retry_burst: float = 50.0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "RpcPolicy", self, "timeout", "backoff_base", "backoff_factor",
+            "backoff_jitter", "retry_budget", "retry_burst",
+        )
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:

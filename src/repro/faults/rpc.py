@@ -11,11 +11,17 @@ standard client-library loop (gRPC/Finagle shape):
   (refilled by delivered responses) when the policy sets one — the
   storm brake that keeps timeout-retry feedback from amplifying a
   transient overload into a metastable collapse;
-* exhaustion (of retries or budget) completes the call as an **error**
-  via ``on_error`` — a call can resolve exactly once and can never hang;
+* exhaustion (of retries or budget) completes the call as an **error**:
+  ``on_reply(None)`` — a call can resolve exactly once and can never hang;
 * an ``error=True`` response (a failure the callee itself propagated) is
   terminal and is delivered without consuming retries: transport loss is
   retryable, an application-level failure is not.
+
+Packet ownership is the direct path's: the caller's pooled packet is
+attempt 1, and every retry is a fresh packet from the network's pool,
+built from the fields the call keeps.  The call never holds a packet, so
+the server releases each request at completion and a loss-window drop
+releases what it drops, whichever attempt it was.
 
 Determinism: backoff jitter is the only randomness and comes from the
 dedicated ``faults.rpc`` stream, so arming the layer with a no-fault
@@ -31,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.cluster.network import Network
-from repro.cluster.packet import RpcPacket
+from repro.cluster.packet import REQUEST, PacketPool, RpcPacket
 from repro.faults.plan import RpcPolicy
 from repro.sim.engine import EventHandle, Simulator
 
@@ -39,18 +45,37 @@ __all__ = ["RpcCaller"]
 
 
 class _Call:
-    """State of one logical RPC call across its attempts."""
+    """State of one logical RPC call across its attempts.
 
-    __slots__ = ("pkt", "on_reply", "on_error", "attempt", "timer", "done")
+    It keeps the request's fields, not the packet: once sent, a packet
+    belongs to the network and the server, which release it.
+    """
 
-    def __init__(self, pkt: RpcPacket, on_reply, on_error):
-        self.pkt = pkt
+    __slots__ = (
+        "request_id", "src", "dst", "start_time", "upscale",
+        "on_reply", "attempt", "timer", "done",
+    )
+
+    def __init__(self, pkt: RpcPacket, on_reply):
+        self.request_id = pkt.request_id
+        self.src = pkt.src
+        #: The address the caller chose (a service name under the LB
+        #: tier, which re-resolves every attempt).
+        self.dst = pkt.dst
+        self.start_time = pkt.start_time
+        self.upscale = pkt.upscale
         self.on_reply = on_reply
-        self.on_error = on_error
         self.attempt = 0
         #: Pending timeout *or* backoff event (at most one at a time).
         self.timer: Optional[EventHandle] = None
         self.done = False
+
+    def retry_packet(self, pool: PacketPool) -> RpcPacket:
+        """A fresh pooled request for the next attempt of this call."""
+        return pool.acquire(
+            self.request_id, REQUEST, self.src, self.dst, self.start_time,
+            self.upscale,
+        )
 
 
 class RpcCaller:
@@ -94,27 +119,29 @@ class RpcCaller:
     def call(
         self,
         pkt: RpcPacket,
-        on_reply: Callable[[RpcPacket], None],
-        on_error: Callable[[RpcPacket], None],
+        on_reply: Callable[[Optional[RpcPacket]], None],
     ) -> None:
-        """Send ``pkt`` with timeout/retry protection.
+        """Send request ``pkt`` with timeout/retry protection.
 
-        Exactly one of ``on_reply(response)`` / ``on_error(pkt)`` fires,
-        exactly once, in bounded time.
+        ``on_reply`` fires exactly once, in bounded time: with the first
+        response of any attempt, or with ``None`` when the call is
+        exhausted.  ``pkt`` is handed over like a direct send.
         """
         self.calls += 1
         self.open_calls += 1
-        self._attempt(_Call(pkt, on_reply, on_error))
+        self._attempt(_Call(pkt, on_reply), pkt)
 
     # ------------------------------------------------------------ internals
-    def _attempt(self, call: _Call) -> None:
+    def _attempt(self, call: _Call, pkt: RpcPacket) -> None:
         call.attempt += 1
         if call.attempt > self.max_attempts_observed:
             self.max_attempts_observed = call.attempt
-        out = call.pkt if call.attempt == 1 else call.pkt.clone_retry()
-        out.context = lambda resp: self._on_reply(call, resp)
+        pkt.context = lambda resp: self._on_reply(call, resp)
         call.timer = self.sim.schedule(self.policy.timeout, self._on_timeout, call)
-        self.network.send(out)
+        self.network.send(pkt)
+
+    def _retry(self, call: _Call) -> None:
+        self._attempt(call, call.retry_packet(self.network.pool))
 
     def _on_reply(self, call: _Call, resp: RpcPacket) -> None:
         if call.done:
@@ -147,7 +174,7 @@ class RpcCaller:
             call.done = True
             self.open_calls -= 1
             self.errors += 1
-            call.on_error(call.pkt)
+            call.on_reply(None)
             return
         if self._budget_on:
             self._retry_tokens -= 1.0
@@ -159,10 +186,10 @@ class RpcCaller:
         if delay > 0.0:
             call.timer = self.sim.schedule(delay, self._backoff_fire, call)
         else:
-            self._attempt(call)
+            self._retry(call)
 
     def _backoff_fire(self, call: _Call) -> None:
         call.timer = None
         if call.done:
             return  # the straggling response arrived during the backoff
-        self._attempt(call)
+        self._retry(call)

@@ -283,14 +283,14 @@ class CoreFeasibilityMonitor(InvariantMonitor):
         assert self.cluster is not None
         self.checks += 1
         node = self.cluster.node_of(name)
-        for err in node.allocation_errors(_CORE_EPS):
+        for err in node.feasibility_problems(_CORE_EPS):
             self.record(err)
 
     def _sweep(self) -> None:
         assert self.cluster is not None
         for node in self.cluster.nodes:
             self.checks += 1
-            for err in node.allocation_errors(_CORE_EPS):
+            for err in node.feasibility_problems(_CORE_EPS):
                 self.record(err)
 
     def _finalize(self) -> None:

@@ -119,10 +119,10 @@ class OpenLoopClient:
         self._next_id = 0
         self._started = False
         # Per-arrival fast path: bind the schedule inversion and the
-        # cluster's prebound ingress sender once.
+        # cluster's ingress once.
         self._advance = schedule.advance
         self._uniform = pacing == "uniform"
-        self._send = cluster.client_sender()
+        self._send = cluster.client_send
 
     def begin(self) -> None:
         """Arm the client (schedules the first arrival)."""
@@ -151,26 +151,17 @@ class OpenLoopClient:
         stats.arrival_times.append(now)
         stats.latencies.append(float("nan"))
         stats.sent += 1
-        # The error callback only exists when the RPC resilience layer is
-        # armed — the fault-free hot path allocates nothing extra and
-        # goes through the prebound sender.
-        if self.cluster.rpc is None:
-            self._send(idx, self._make_callback(idx, now))
-        else:
-            self.cluster.client_send(
-                idx,
-                self._make_callback(idx, now),
-                on_error=self._make_error_callback(idx),
-            )
+        self._send(idx, self._make_callback(idx, now))
         nxt = self._next_arrival(now)
         if nxt < self.end:
             self.sim.schedule_at(nxt, self._fire)
 
     def _make_callback(self, idx: int, arrival: float):
-        def cb(pkt: RpcPacket) -> None:
-            if pkt.error:
-                # Propagated failure: the root completed the request as
-                # an error.  Recorded in the error ledger, not latency.
+        def cb(pkt: Optional[RpcPacket]) -> None:
+            if pkt is None or pkt.error:
+                # The client→root call was exhausted (no response ever
+                # arrived), or the root completed the request as an
+                # error.  Recorded in the error ledger, not latency.
                 self.stats.errored += 1
                 return
             latency = self.sim.now - arrival
@@ -180,13 +171,5 @@ class OpenLoopClient:
             self.stats.completed += 1
             if self.on_complete is not None:
                 self.on_complete(idx, arrival, latency)
-
-        return cb
-
-    def _make_error_callback(self, idx: int):
-        def cb(_pkt: RpcPacket) -> None:
-            # Local retry exhaustion at the client→root call: no response
-            # ever arrived, but the request is resolved (not hung).
-            self.stats.errored += 1
 
         return cb

@@ -115,6 +115,41 @@ class TestLatency:
             net.add_latency_surge(1.0, 0.5, extra=0.01)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInput:
+    """NaN and infinity fail at construction, naming the field.
+
+    Left through, ``jitter=nan`` runs exactly like ``jitter=0``, and a
+    non-finite latency or surge fails mid-run in the event scheduler
+    without saying which field it was.
+    """
+
+    @pytest.mark.parametrize(
+        "field", ["intra_node_latency", "inter_node_latency", "jitter"]
+    )
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_network_config(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NetworkConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "start, end, extra, field",
+        [
+            (NAN, 1.0, 1e-3, "start"),
+            (-INF, 1.0, 1e-3, "start"),
+            (0.0, NAN, 1e-3, "end"),
+            (0.0, INF, 1e-3, "end"),
+            (0.0, 1.0, NAN, "extra"),
+            (0.0, 1.0, INF, "extra"),
+        ],
+    )
+    def test_latency_surge(self, net, start, end, extra, field):
+        with pytest.raises(ValueError, match=field):
+            net.add_latency_surge(start, end, extra)
+
+
 class TestSurgeTimeline:
     @pytest.fixture
     def routed(self, sim, net, two_nodes):

@@ -20,6 +20,7 @@ from repro.cluster.packet import (
     PoolError,
     RpcPacket,
 )
+from repro.faults import FaultInjector, FaultPlan, RpcPolicy
 from repro.services.registry import get_workload
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -117,34 +118,6 @@ class TestPoisonDebugMode:
         assert again.kind == REQUEST
         assert again.start_time == 3.0 and again.send_time == 0.0
         assert again.context is None
-
-
-class TestPooledBuilders:
-    """The pooled fork/response builders must match the RpcPacket methods
-    field-for-field (the identity suite pins the end-to-end claim)."""
-
-    def mk(self):
-        pkt = RpcPacket(
-            request_id=7, kind=REQUEST, src="client", dst="s0",
-            start_time=1.25, upscale=2,
-        )
-        pkt.context = object()
-        return pkt
-
-    def test_fork_downstream_matches_method(self):
-        pkt = self.mk()
-        pool = live_pool()
-        pooled = pool.fork_downstream(pkt, dst="s1", src="s0", upscale=1)
-        plain = pkt.fork_downstream(dst="s1", src="s0", upscale=1)
-        assert pooled == plain
-
-    def test_make_response_matches_method(self):
-        pkt = self.mk()
-        pool = live_pool()
-        pooled = pool.make_response(pkt, src="s0", error=True)
-        plain = pkt.make_response(src="s0", error=True)
-        assert pooled == plain
-        assert pooled.context is pkt.context
 
 
 class TestEnvSwitches:
@@ -265,13 +238,17 @@ class TestSteadyStateChurn:
     #: Fresh RpcPacket + EventHandle constructions allowed per 100k sends.
     CEILING_PER_100K = 2_000
 
-    def measure(self, monkeypatch, pool):
+    def measure(self, monkeypatch, pool, plan=None):
+        """(sends, fresh packets, recycled packets, fresh handles) over
+        the measured window; ``plan`` is armed on the cluster first."""
         monkeypatch.setenv("REPRO_POOL", pool)
         workload = get_workload("chain")
         sim = Simulator()
         cluster = Cluster(
             sim, workload.build(), ClusterConfig(n_nodes=1), RngRegistry(1)
         )
+        if plan is not None:
+            FaultInjector(plan).arm(sim, cluster)
         net = cluster.network
         client = OpenLoopClient(
             sim, cluster, RateSchedule(workload.base_rate),
@@ -279,20 +256,34 @@ class TestSteadyStateChurn:
         )
         client.begin()
         sim.run(until=self.WARMUP)
-        sent0, packets0, handles0 = (
-            net.packets_sent, net.pool.constructed, sim.handles_constructed
+        sent0, packets0, recycled0, handles0 = (
+            net.packets_sent, net.pool.constructed, net.pool.recycled,
+            sim.handles_constructed,
         )
         sim.run(until=self.WARMUP + self.MEASURE)
         sent = net.packets_sent - sent0
         assert sent > 10_000
-        packets = net.pool.constructed - packets0
-        return sent, packets, sim.handles_constructed - handles0
+        return (
+            sent,
+            net.pool.constructed - packets0,
+            net.pool.recycled - recycled0,
+            sim.handles_constructed - handles0,
+        )
 
     def test_pooled_run_recycles_packets_and_handles(self, monkeypatch):
-        sent, packets, handles = self.measure(monkeypatch, "1")
+        sent, packets, _, handles = self.measure(monkeypatch, "1")
+        assert (packets + handles) * 100_000 <= self.CEILING_PER_100K * sent
+
+    def test_rpc_armed_run_takes_every_packet_from_the_pool(self, monkeypatch):
+        # An RpcPolicy alone arms the timeout/retry layer on every hop and
+        # drops nothing, so each send is one acquisition: its request,
+        # the callee's response, or a retry.
+        plan = FaultPlan(rpc=RpcPolicy())
+        sent, packets, recycled, handles = self.measure(monkeypatch, "1", plan)
+        assert packets + recycled == sent
         assert (packets + handles) * 100_000 <= self.CEILING_PER_100K * sent
 
     def test_unpooled_run_builds_one_packet_per_send(self, monkeypatch):
-        sent, packets, handles = self.measure(monkeypatch, "0")
+        sent, packets, _, handles = self.measure(monkeypatch, "0")
         assert packets == sent
         assert handles >= sent

@@ -11,7 +11,7 @@ misroutes loudly) must reproduce the committed goldens bit-for-bit.
 The fault cell matters most: packets die mid-flight there (loss drops,
 crash-killed servers, superseded retries), which is exactly where a
 wrong release point would recycle a still-referenced packet and corrupt
-a later request.
+a later request.  It runs pooled, unpooled and in poison-debug mode.
 """
 
 import pytest
@@ -77,3 +77,12 @@ class TestFaultCellFingerprintModeIndependent:
         # And both match the committed golden, not just each other.
         golden = load_goldens()[cell.key]
         assert fingerprint_diff(golden, pooled.fingerprint) == []
+
+    def test_poison_debug_fingerprint_matches_golden(self, monkeypatch):
+        # Under the RPC layer requests and retries are pooled too, so a
+        # release point that gives up a packet still in use (a retry
+        # racing its original, a crashed server) raises or misroutes here.
+        monkeypatch.setenv("REPRO_POOL", "1")
+        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        cell, out = self._outcome()
+        assert fingerprint_diff(load_goldens()[cell.key], out.fingerprint) == []

@@ -12,6 +12,16 @@ from repro.faults import (
     RpcPolicy,
 )
 
+NAN, INF = float("nan"), float("inf")
+
+#: (start, end, the field a message must name) for the window classes.
+WINDOW_CASES = [
+    (NAN, 1.0, "start"),
+    (-INF, 1.0, "start"),
+    (0.0, NAN, "end"),
+    (0.0, INF, "end"),
+]
+
 
 class TestWindowValidation:
     def test_empty_loss_window_rejected(self):
@@ -74,6 +84,45 @@ class TestPolicyValidation:
             FaultPlan(crashes=(ContainerCrash("c", 1.0, 0.5),))
         # Stalls drop nothing, so they stand alone.
         FaultPlan(stalls=(ControllerStall(0.0, 1.0),))
+
+
+class TestNonFiniteInput:
+    """NaN and infinity fail at construction, naming the field.
+
+    Left through, a NaN bound silently disables its window or backoff
+    (every comparison with it is false), and an infinite time fails
+    mid-run in the event scheduler without saying which field it was.
+    """
+
+    @pytest.mark.parametrize("start, end, field", WINDOW_CASES)
+    def test_loss_window(self, start, end, field):
+        with pytest.raises(ValueError, match=field):
+            LossWindow(start, end, 1.0)
+
+    @pytest.mark.parametrize("start, end, field", WINDOW_CASES)
+    def test_controller_stall(self, start, end, field):
+        with pytest.raises(ValueError, match=field):
+            ControllerStall(start, end)
+
+    @pytest.mark.parametrize("field", ["time", "restart_delay"])
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_container_crash(self, field, value):
+        kw = dict(time=1.0, restart_delay=0.5)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            ContainerCrash("c", **kw)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "timeout", "backoff_base", "backoff_factor", "backoff_jitter",
+            "retry_budget", "retry_burst",
+        ],
+    )
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_rpc_policy(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RpcPolicy(**{field: value})
 
 
 class TestPlanValueSemantics:

@@ -6,14 +6,19 @@ import pytest
 from repro.cluster.frequency import DvfsModel
 from repro.cluster.network import Network, NetworkConfig
 from repro.cluster.node import Node
-from repro.cluster.packet import REQUEST, RpcPacket
+from repro.cluster.packet import REQUEST
 from repro.faults import RpcCaller, RpcPolicy
 
 
-def mk_request(request_id=1):
-    return RpcPacket(
-        request_id=request_id, kind=REQUEST, src="a", dst="b", start_time=0.0
-    )
+def mk_request(net, request_id=1, dst="b"):
+    """A pooled request from ``a``, as every caller in the simulator sends."""
+    return net.pool.acquire(request_id, REQUEST, "a", dst, 0.0)
+
+
+def respond(net, pkt, src, *, error=False):
+    """What a server does at completion: reply, then release the request."""
+    net.send(net.pool.make_response(pkt, src=src, error=error))
+    net.pool.release(pkt)
 
 
 @pytest.fixture
@@ -28,7 +33,7 @@ def net(sim, dvfs):
     def server(pkt):
         state["served"] += 1
         if not state["silent"]:
-            net.send(pkt.make_response(src="b"))
+            respond(net, pkt, "b")
 
     net.register("a", None, lambda pkt: pkt.context(pkt))
     net.register("b", node, server)
@@ -44,11 +49,12 @@ def caller(sim, net, **policy_kw):
 class TestHappyPath:
     def test_reply_delivered_once_and_timer_cancelled(self, sim, net):
         rpc = caller(sim, net, timeout=1.0)
-        replies, errors = [], []
-        rpc.call(mk_request(), replies.append, errors.append)
+        replies = []
+        # Fields are read inside the callback: the network releases a
+        # response once its handler returns.
+        rpc.call(mk_request(net), lambda p: replies.append(p.request_id))
         sim.run()
-        assert [p.request_id for p in replies] == [1]
-        assert errors == []
+        assert replies == [1]
         assert rpc.open_calls == 0
         assert rpc.retries == rpc.errors == 0
         # The timeout timer was cancelled, not left to fire.
@@ -60,7 +66,7 @@ class TestHappyPath:
         rng = np.random.default_rng(7)
         rpc = RpcCaller(sim, net, RpcPolicy(timeout=1.0), rng)
         for i in range(10):
-            rpc.call(mk_request(i), lambda p: None, lambda p: None)
+            rpc.call(mk_request(net, i), lambda p: None)
         sim.run()
         assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
 
@@ -71,11 +77,10 @@ class TestTotalLoss:
         in bounded time, never hang the caller."""
         net.state["silent"] = True  # black-hole server
         rpc = caller(sim, net, timeout=10e-3, max_retries=2, backoff_base=1e-3)
-        replies, errors = [], []
-        rpc.call(mk_request(), replies.append, errors.append)
+        replies = []
+        rpc.call(mk_request(net), replies.append)
         sim.run()
-        assert replies == []
-        assert len(errors) == 1
+        assert replies == [None]  # exhaustion
         assert rpc.errors == 1
         assert rpc.open_calls == 0
         # Exactly max_retries + 1 attempts were transmitted.
@@ -88,10 +93,10 @@ class TestTotalLoss:
     def test_zero_retries_policy(self, sim, net):
         net.state["silent"] = True
         rpc = caller(sim, net, timeout=5e-3, max_retries=0)
-        errors = []
-        rpc.call(mk_request(), lambda p: None, errors.append)
+        replies = []
+        rpc.call(mk_request(net), replies.append)
         sim.run()
-        assert len(errors) == 1 and rpc.retries == 0
+        assert replies == [None] and rpc.retries == 0
 
 
 class TestDuplicates:
@@ -104,16 +109,15 @@ class TestDuplicates:
         def slow_server(pkt):
             slow_first["n"] += 1
             delay = 30e-3 if slow_first["n"] == 1 else 0.0
-            sim.schedule(delay, net.send, pkt.make_response(src="c"))
+            sim.schedule(delay, respond, net, pkt, "c")
 
         net.register("c", node, slow_server)
         rpc = caller(sim, net, timeout=10e-3, max_retries=2, backoff_base=1e-3)
-        replies, errors = [], []
-        pkt = RpcPacket(request_id=9, kind=REQUEST, src="a", dst="c", start_time=0.0)
-        rpc.call(pkt, replies.append, errors.append)
+        replies = []
+        rpc.call(mk_request(net, 9, dst="c"), replies.append)
         sim.run()
         assert slow_first["n"] == 2  # the server really served twice
-        assert len(replies) == 1 and errors == []
+        assert len(replies) == 1 and replies[0] is not None
         assert rpc.open_calls == 0
         assert sim.live_events_pending == 0
 
@@ -122,15 +126,17 @@ class TestDuplicates:
         served = []
         net.register(
             "err", node,
-            lambda pkt: (served.append(1), net.send(pkt.make_response(src="err", error=True)))[-1],
+            lambda pkt: (served.append(1), respond(net, pkt, "err", error=True)),
         )
         rpc = caller(sim, net, timeout=10e-3, max_retries=3)
         replies = []
-        pkt = RpcPacket(request_id=2, kind=REQUEST, src="a", dst="err", start_time=0.0)
-        rpc.call(pkt, replies.append, lambda p: None)
+        rpc.call(
+            mk_request(net, 2, dst="err"),
+            lambda p: replies.append(p.error),
+        )
         sim.run()
         # Delivered via on_reply with error=True, without burning retries.
-        assert len(replies) == 1 and replies[0].error
+        assert replies == [True]
         assert len(served) == 1 and rpc.retries == 0
 
 
@@ -142,11 +148,11 @@ class TestRetryBudget:
             backoff_base=0.0, backoff_jitter=0.0,
             retry_budget=0.0, retry_burst=2.0,
         )
-        errors = []
+        replies = []
         for i in range(4):
-            rpc.call(mk_request(i), lambda p: None, errors.append)
+            rpc.call(mk_request(net, i), replies.append)
         sim.run()
-        assert len(errors) == 4
+        assert replies == [None] * 4
         # Only the initial bucket's 2 tokens were ever spent: with no
         # successes there is no refill, so the storm brake engages.
         assert rpc.retries == 2
@@ -160,9 +166,9 @@ class TestRetryBudget:
         )
         done = []
         for i in range(8):
-            rpc.call(mk_request(i), lambda p, done=done: done.append(p), lambda p: None)
+            rpc.call(mk_request(net, i), lambda p: done.append(p is not None))
         sim.run()
-        assert len(done) == 8
+        assert done == [True] * 8
         # 8 successes × 0.5 tokens, capped at burst=1.
         assert rpc._retry_tokens == 1.0
 
@@ -183,7 +189,10 @@ class TestDeterminism:
             )
             times = []
             for i in range(5):
-                rpc.call(mk_request(i), lambda p: None, lambda p: times.append(s.now))
+                rpc.call(
+                    mk_request(n, i),
+                    lambda p: times.append(s.now) if p is None else None,
+                )
             s.run()
             return times, s.events_fired
 
