@@ -38,7 +38,6 @@ def run(factory):
             spike_offset=SURGE_START - 3.0,
             duration=SURGE_LEN + 6.0,
             warmup=3.0,
-            record_timelines=True,
             seed=1,
         )
     )

@@ -15,7 +15,7 @@ Layout
 ``repro.workload``
     wrk2-style open-loop load generation with spike injection.
 ``repro.metrics``
-    Violation volume (contribution C3), histograms, step timeseries.
+    Violation volume (contribution C3), exact percentiles, step timeseries.
 ``repro.controllers``
     Controller interface + baselines (Parties, CaladanAlgo, Oracle).
 ``repro.core``
@@ -41,7 +41,6 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.services import AppSpec, EdgeSpec, ServiceSpec, WorkDist, get_workload
 from repro.workload import OpenLoopClient, RateSchedule, Spike
 from repro.metrics import (
-    LatencyHistogram,
     LatencySummary,
     StepSeries,
     summarize,
@@ -77,7 +76,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "FirstResponder",
-    "LatencyHistogram",
     "LatencySummary",
     "NullController",
     "OpenLoopClient",

@@ -15,15 +15,12 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-)
+from repro.exec.pool import run_reps
+from repro.experiments.harness import ExperimentConfig
 
 __all__ = ["CellResult", "default_reps", "run_cell", "trimmed_mean"]
 
@@ -87,10 +84,10 @@ def run_cell(
     a configuration error and raises :class:`ValueError` instead of
     silently averaging untrimmed values.
 
-    ``jobs > 1`` fans the repetitions out across worker processes
-    (:mod:`repro.exec.pool`): the profiling pass runs once in the parent
-    and is shipped to the workers, and results are bit-identical to
-    serial execution (same seeds, same trimmed means).  Requires a
+    Repetitions run through :func:`repro.exec.pool.run_reps`: the
+    profiling pass runs once and every repetition shares it.  ``jobs >
+    1`` fans them out across worker processes, bit-identical to serial
+    execution (same seeds, same trimmed means), and requires a
     picklable config — use :func:`repro.exec.specs.spec` controller
     factories, not lambdas.
     """
@@ -105,16 +102,7 @@ def run_cell(
     n_jobs = 1 if jobs is None else int(jobs)
     if n_jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if n_jobs > 1 and n > 1:
-        from repro.exec.pool import run_reps
-
-        results: List[ExperimentResult] = run_reps(cfg, n, jobs=n_jobs)
-    else:
-        results = []
-        for i in range(n):
-            results.append(
-                run_experiment(dataclasses.replace(cfg, seed=cfg.seed + i))
-            )
+    results = run_reps(cfg, n, jobs=n_jobs)
     return CellResult(
         workload=cfg.workload,
         controller=results[0].controller_name,

@@ -1,9 +1,10 @@
 """Cluster assembly and the controller-facing API.
 
 :class:`Cluster` turns an :class:`~repro.services.taskgraph.AppSpec` into
-a running system: nodes with core budgets, one container + runtime +
-service instance per service, caller-side connection pools per edge, and
-a network with the client attached as an external endpoint.
+a running system: nodes with core budgets, one replica set per service
+behind the load-balancer tier (each replica a container + runtime +
+service instance with caller-side connection pools per edge), and a
+network with the client attached as an external endpoint.
 
 Controllers interact with the cluster in two ways:
 
@@ -41,11 +42,13 @@ from repro.cluster.loadbalancer import (
     ReplicaSet,
     make_policy,
     replica_name,
+    service_of_name,
 )
 from repro.cluster.network import Network, NetworkConfig
 from repro.cluster.node import Node
 from repro.cluster.packet import REQUEST, RpcPacket
 from repro.cluster.placement import (
+    PLACEMENTS,
     by_depth,
     expand_depths,
     expand_replicas,
@@ -77,13 +80,10 @@ class ClusterConfig:
     initial_frequency: Optional[float] = None
     #: Connection-establishment latency for connection-per-request edges.
     conn_setup_latency: float = 20e-6
-    #: Record (t, container, value) allocation/frequency change events
-    #: (Fig. 14 timelines).
-    record_timelines: bool = False
-    #: ``None`` = legacy unreplicated routing (no LB tier at all).  An
-    #: int ``>= 1`` arms the replica tier with that many initial replicas
-    #: per service; ``replicas=1`` is the bit-identical pass-through seam.
-    replicas: Optional[int] = None
+    #: Initial replicas per service behind the load-balancer tier.  At
+    #: one, replica 0 is the service itself and the LB never consults
+    #: its policy.
+    replicas: int = 1
     #: Load-balancing policy for the replica tier (see
     #: :mod:`repro.cluster.loadbalancer`).
     lb_policy: str = "round_robin"
@@ -93,10 +93,10 @@ class ClusterConfig:
             raise ValueError("n_nodes must be >= 1")
         if self.cores_per_node <= 0:
             raise ValueError("cores_per_node must be positive")
-        if self.placement not in ("pack", "round_robin", "by_depth"):
+        if self.placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {self.placement!r}")
-        if self.replicas is not None and self.replicas < 1:
-            raise ValueError("replicas must be >= 1 when set")
+        if self.replicas < 1:
+            raise ValueError("replicas must be >= 1")
         if self.lb_policy not in LB_POLICIES:
             raise ValueError(f"unknown lb_policy {self.lb_policy!r}")
 
@@ -202,10 +202,9 @@ class Cluster:
         ]
         self.network = Network(sim, config.network, rng.stream("network"))
 
-        armed = config.replicas is not None
-        n_reps = config.replicas if armed else 1
-        # expand_replicas/expand_depths are the identity at n_reps=1, so
-        # the unreplicated placement maps are reproduced byte-for-byte.
+        n_reps = config.replicas
+        # expand_replicas/expand_depths are the identity at one replica,
+        # so each service's placement entry is its own name.
         names = expand_replicas(app.service_names, n_reps)
         if config.placement == "pack":
             placement = pack_first(names, config.n_nodes)
@@ -219,41 +218,24 @@ class Cluster:
         self.runtimes: Dict[str, ContainerRuntime] = {}
         self.instances: Dict[str, ServiceInstance] = {}
         self._spec_of = {s.name: s for s in app.services}
-        #: Replica endpoint name -> service name (entries only for the
-        #: numbered replicas; replica 0 *is* the service).
-        self._service_of: Dict[str, str] = {}
-        #: ``None`` until replication is armed — the LB tier then holds
-        #: one :class:`ReplicaSet` per service.
-        self.replica_sets: Optional[Dict[str, ReplicaSet]] = (
-            {} if armed else None
-        )
-
-        for spec in app.services:
-            rset = None
-            if armed:
-                rset = ReplicaSet(spec.name, make_policy(config.lb_policy))
-                self.replica_sets[spec.name] = rset
-            for k in range(n_reps):
-                rname = replica_name(spec.name, k)
-                if k:
-                    self._service_of[rname] = spec.name
-                node = self.nodes[placement[rname]]
-                container, instance = self._deploy(spec, rname, node)
-                if armed:
-                    rset.add(
-                        Replica(rname, spec.name, k, READY, container, instance, node)
-                    )
-                    self.network.add_virtual(rname, rset)
-
-        self.network.register(CLIENT, None, self._client_rx)
-
-        #: Allocation / frequency change logs for timeline figures.
+        #: Allocation / frequency change logs (t, container, value), one
+        #: entry per deployed container plus one per change (Fig. 14).
         self.alloc_events: List[Tuple[float, str, float]] = []
         self.freq_events: List[Tuple[float, str, float]] = []
-        if config.record_timelines:
-            for name, c in self.containers.items():
-                self.alloc_events.append((sim.now, name, c.cores))
-                self.freq_events.append((sim.now, name, c.frequency))
+        #: The load-balancer tier: one :class:`ReplicaSet` per service.
+        self.replica_sets: Dict[str, ReplicaSet] = {}
+
+        for spec in app.services:
+            rset = ReplicaSet(spec.name, make_policy(config.lb_policy))
+            self.replica_sets[spec.name] = rset
+            self.network.add_virtual(spec.name, rset)
+            for k in range(n_reps):
+                rname = replica_name(spec.name, k)
+                node = self.nodes[placement[rname]]
+                container, instance = self._deploy(spec, rname, node)
+                rset.add(Replica(rname, spec.name, k, READY, container, instance, node))
+
+        self.network.register(CLIENT, None, self._client_rx)
 
         self._views = [NodeView(self, n) for n in self.nodes]
         self._ingress_count = 0
@@ -263,10 +245,10 @@ class Cluster:
 
     # ------------------------------------------------------------ deployment
     def _deploy(self, spec, rname: str, node: Node):
-        """Build one replica's container/runtime/pools/instance and
-        register its network endpoint.  Replica 0 of an unreplicated (or
-        replicas=1) cluster reproduces the legacy construction exactly:
-        same names, same ``work.<service>`` RNG stream, same order."""
+        """Build one replica's container/runtime/pools/instance, register
+        its network endpoint and log its initial allocation.  Replica 0
+        carries the service's own name and ``work.<service>`` RNG
+        stream."""
         sim, config = self.sim, self.config
         container = Container(
             sim, rname, config.dvfs,
@@ -291,6 +273,8 @@ class Cluster:
         self.runtimes[rname] = runtime
         self.instances[rname] = instance
         self.network.register(rname, node, instance.handle_packet)
+        self.alloc_events.append((sim.now, rname, container.cores))
+        self.freq_events.append((sim.now, rname, container.frequency))
         return container, instance
 
     # ----------------------------------------------------------------- views
@@ -311,13 +295,10 @@ class Cluster:
 
     def service_of(self, container_name: str) -> str:
         """The service a container (replica) endpoint belongs to."""
-        return self._service_of.get(container_name, container_name)
+        return service_of_name(container_name)
 
     def replicas_of(self, service: str) -> List[str]:
-        """Replica endpoint names of ``service`` in index order
-        (``[service]`` itself when replication is unarmed)."""
-        if self.replica_sets is None:
-            return [service]
+        """Replica endpoint names of ``service`` in index order."""
         return [r.name for r in self.replica_sets[service].replicas]
 
     def _best_node(self, need: float) -> Optional[Node]:
@@ -352,8 +333,6 @@ class Cluster:
         charges horizontal scaling with).  Returns ``None`` when no node
         can fit the replica's initial cores.
         """
-        if self.replica_sets is None:
-            raise RuntimeError("scale_out requires a replica-armed cluster")
         rset = self.replica_sets[service]
         for r in rset.replicas:
             if r.state == DRAINING:
@@ -374,14 +353,9 @@ class Cluster:
         idx = len(rset.replicas)
         rname = replica_name(service, idx)
         self.placement[rname] = self.nodes.index(node)
-        self._service_of[rname] = service
         container, instance = self._deploy(spec, rname, node)
         replica = Replica(rname, service, idx, WARMING, container, instance, node)
         rset.add(replica)
-        self.network.add_virtual(rname, rset)
-        if self.config.record_timelines:
-            self.alloc_events.append((self.sim.now, rname, container.cores))
-            self.freq_events.append((self.sim.now, rname, container.frequency))
         self._schedule_ready(replica, ready_delay)
         return rname
 
@@ -397,8 +371,7 @@ class Cluster:
         self.placement[r.name] = self.nodes.index(node)
         r.instance.restart()
         r.state = WARMING
-        if self.config.record_timelines:
-            self.alloc_events.append((self.sim.now, r.name, r.container.cores))
+        self.alloc_events.append((self.sim.now, r.name, r.container.cores))
         self._schedule_ready(r, ready_delay)
         return r.name
 
@@ -409,8 +382,6 @@ class Cluster:
         the determinism anchor and the minimum deployment.  Returns the
         draining replica's name, or ``None`` if nothing is eligible.
         """
-        if self.replica_sets is None:
-            raise RuntimeError("scale_in requires a replica-armed cluster")
         rset = self.replica_sets[service]
         pick = None
         for r in rset.replicas:
@@ -430,8 +401,6 @@ class Cluster:
         integrals freeze; the endpoint registration survives so a later
         scale-out can revive the slot.  Returns the number reaped.
         """
-        if self.replica_sets is None:
-            return 0
         g = self.REAP_GRACE if grace is None else grace
         now = self.sim.now
         reaped = 0
@@ -447,8 +416,7 @@ class Cluster:
                     r.instance.shutdown()
                     r.state = DOWN
                     r.node = None
-                    if self.config.record_timelines:
-                        self.alloc_events.append((now, r.name, 0.0))
+                    self.alloc_events.append((now, r.name, 0.0))
                     reaped += 1
         return reaped
 
@@ -456,15 +424,14 @@ class Cluster:
     def set_cores(self, name: str, cores: float) -> None:
         """Set a container's core allocation (node budget enforced)."""
         self.node_of(name).set_cores(name, cores)
-        if self.config.record_timelines:
-            self.alloc_events.append((self.sim.now, name, cores))
+        self.alloc_events.append((self.sim.now, name, cores))
 
     def set_frequency(self, name: str, frequency: float) -> None:
         """Set a container's DVFS level."""
         before = self.containers[name].frequency
         self.containers[name].set_frequency(frequency)
         after = self.containers[name].frequency
-        if self.config.record_timelines and after != before:
+        if after != before:
             self.freq_events.append((self.sim.now, name, after))
 
     # --------------------------------------------------------------- ingress

@@ -1,23 +1,21 @@
 """Replica sets and the load-balancer tier of the packet path.
 
-Horizontal scaling makes *replicas* first-class: a service may be backed
-by N stateless copies, each with its own container, runtime, connection
-pools, and deterministic work stream.  Replica 0 keeps the bare service
-name (``chain2``); replica ``k >= 1`` is named ``chain2@k``.  Keeping the
-zeroth replica's name equal to the service name is the determinism seam:
-with ``replicas=1`` every endpoint name, RNG stream, placement entry,
-and packet address is byte-for-byte what the unreplicated cluster
-produces, so the golden fingerprints cannot tell the two apart.
+Every service is a replica set: N stateless copies (one by default),
+each with its own container, runtime, connection pools, and
+deterministic work stream.  Replica 0 keeps the bare service name
+(``chain2``); replica ``k >= 1`` is named ``chain2@k``.  Keeping the
+zeroth replica's name equal to the service name is the determinism
+seam: at one replica per service every endpoint name, RNG stream,
+placement entry, and packet address is the service's own, so the golden
+fingerprints pin the one-replica path of every cell.
 
 The LB sits at the *top* of :meth:`Network.send` (see
-``cluster/network.py``): REQUEST packets addressed to a virtual (service)
-name are resolved to a concrete replica endpoint before routing.  RPC
-retries re-resolve too: a retry is addressed to the call's destination,
-the service name, so it goes through the policy again and a retry after
-a crashed replica lands on a survivor.  Every replica endpoint is also
-aliased to its :class:`ReplicaSet`, so a request addressed to a
-concrete replica re-resolves the same way; policies read nothing of the
-packet but its ``request_id``, so either address routes identically.
+``cluster/network.py``): REQUEST packets addressed to a service name are
+resolved to a concrete replica endpoint before routing.  RPC retries
+re-resolve too: a retry is addressed to the call's destination, the
+service name, so it goes through the policy again and a retry after a
+crashed replica lands on a survivor.  Only service names are aliased;
+no request is addressed to a concrete replica.
 
 Lifecycle: ``WARMING -> READY -> DRAINING -> DOWN`` (and back, on
 revival).  A warming replica holds its cores (that *is* the spin-up
@@ -29,8 +27,8 @@ endpoint (the network rejects duplicate registration by design).
 Policy selection is deliberately RNG-free — round-robin is a monotone
 counter, least-loaded breaks ties by replica index, and consistent
 hashing uses CRC-32 (never Python's salted ``hash()``) — so a replicated
-run is exactly reproducible and the replicas=1 pass-through consumes no
-random draws at all.
+run is exactly reproducible and the one-replica path consumes no random
+draws at all.
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ DOWN = "down"
 def replica_name(service: str, idx: int) -> str:
     """Endpoint name of replica ``idx`` of ``service``.
 
-    Replica 0 *is* the service name — the replicas=1 identity seam.
+    Replica 0 *is* the service name — the one-replica determinism seam.
     """
     return service if idx == 0 else f"{service}{REPLICA_SEP}{idx}"
 
@@ -244,9 +242,8 @@ class ReplicaSet:
     :meth:`resolve` is the only routing decision point: it filters to
     lifecycle-READY replicas, then to healthy (not crashed) ones —
     *failing open* to the ready pool when every ready replica is crashed,
-    so a replicas=1 crash behaves exactly like the unreplicated
-    dead-socket path (packets still flow and are dropped at the down
-    instance, keeping fault goldens bit-identical).
+    so a crashed lone replica keeps the dead-socket path (packets still
+    flow and are dropped at the down instance).
     """
 
     __slots__ = ("service", "policy", "replicas", "dispatched", "unroutable",
@@ -275,18 +272,22 @@ class ReplicaSet:
 
     def resolve(self, pkt: "RpcPacket") -> Optional[str]:
         """Pick a concrete replica endpoint for ``pkt`` (or ``None``)."""
-        ready = [r for r in self.replicas if r.state == READY]
-        if not ready:
-            self.unroutable += 1
-            return None
-        if len(ready) == 1:
-            r = ready[0]  # replicas=1 pass-through: no policy, no filter
+        replicas = self.replicas
+        if len(replicas) == 1:
+            # A lone replica: no ready list, no health filter, no policy.
+            r = replicas[0]
+            if r.state != READY:
+                self.unroutable += 1
+                return None
         else:
+            ready = [r for r in replicas if r.state == READY]
+            if not ready:
+                self.unroutable += 1
+                return None
             pool = [r for r in ready if not r.down] or ready
             r = self.policy.select(pool, pkt) if len(pool) > 1 else pool[0]
-        if r.state != READY:  # pragma: no cover - defensive
-            self.nonready_dispatches += 1
+            if r.state != READY:  # pragma: no cover - defensive
+                self.nonready_dispatches += 1
         r.dispatched += 1
         self.dispatched += 1
         return r.name
-

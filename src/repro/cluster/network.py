@@ -130,11 +130,9 @@ class Network:
         # (src, dst) -> (base latency, dst node, handler); safe to cache
         # forever because registration is once-only.
         self._routes: Dict[Tuple[str, str], Tuple[float, Optional[Node], Endpoint]] = {}
-        # Load-balancer tier: virtual endpoint name -> ReplicaSet.  Empty
-        # unless the cluster armed replication; the unarmed cost is one
-        # falsy-dict check per send.  Maps the service name *and* every
-        # replica endpoint, so a request addressed to a concrete replica
-        # re-resolves too.
+        # Load-balancer tier: service name -> ReplicaSet, one alias per
+        # service (a bare network, as in unit tests, has none).  Every
+        # REQUEST to a service resolves through its set on send.
         self._virtual: Dict[str, object] = {}
         #: REQUESTs the LB could not place (no READY replica); the packet
         #: is released, not sent — mirrors a connection-refused at the VIP.
@@ -171,7 +169,8 @@ class Network:
         self._endpoints[name] = (node, handler)
 
     def add_virtual(self, name: str, rset: object) -> None:
-        """Alias ``name`` to a replica set for LB resolution on send."""
+        """Alias service ``name`` to its replica set for LB resolution
+        on send."""
         self._virtual[name] = rset
 
     def _route(self, src: str, dst: str) -> Tuple[float, Optional[Node], Endpoint]:
@@ -264,7 +263,7 @@ class Network:
         Delivery runs the destination node's RX hooks (if any) and then
         the endpoint handler.
         """
-        if self._virtual and packet.kind == REQUEST:
+        if packet.kind == REQUEST:
             rset = self._virtual.get(packet.dst)
             if rset is not None:
                 resolved = rset.resolve(packet)

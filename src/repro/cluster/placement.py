@@ -16,12 +16,16 @@ from typing import Dict, List, Sequence
 from repro.cluster.loadbalancer import replica_name
 
 __all__ = [
+    "PLACEMENTS",
     "round_robin",
     "pack_first",
     "by_depth",
     "expand_replicas",
     "expand_depths",
 ]
+
+#: Placement policy names accepted by ``ClusterConfig.placement``.
+PLACEMENTS = ("pack", "round_robin", "by_depth")
 
 
 def round_robin(services: Sequence[str], n_nodes: int) -> Dict[str, int]:
@@ -61,8 +65,8 @@ def expand_replicas(services: Sequence[str], replicas: int) -> List[str]:
     order with a service's replicas consecutive.
 
     ``replicas=1`` is the identity (replica 0 keeps the bare service
-    name), so every placement policy produces byte-identical maps for an
-    unreplicated-equivalent cluster — the golden-fingerprint seam.
+    name), so at one replica per service every placement policy maps
+    the service names themselves — the golden-fingerprint seam.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")

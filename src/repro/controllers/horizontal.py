@@ -7,7 +7,7 @@ SurgeGuard "manag[es] QoS and prevent[s] request buildup while the
 autoscaler launches a new container".
 
 :class:`HorizontalAutoscaler` models a Kubernetes-HPA-style scaler that
-actuates *replica counts* on a replica-armed cluster (see
+actuates *replica counts* of the cluster's replica sets (see
 :mod:`repro.cluster.loadbalancer`): a scale-out launches a real replica
 behind the load balancer, which spends ``launch_delay`` WARMING —
 holding its cores but receiving no traffic — before the LB starts
@@ -79,14 +79,6 @@ class HorizontalAutoscaler(Controller):
         self._low_streak: Dict[str, int] = {}
         self.scale_outs = 0
         self.scale_ins = 0
-
-    def _on_attach(self) -> None:
-        assert self.cluster is not None
-        if self.cluster.replica_sets is None:
-            raise RuntimeError(
-                "HorizontalAutoscaler needs a replica-armed cluster "
-                "(set ClusterConfig.replicas / ExperimentConfig.replicas)"
-            )
 
     def _on_start(self) -> None:
         assert self.sim is not None and self.cluster is not None

@@ -19,6 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
+from repro.cluster.loadbalancer import service_of_name
 from repro.cluster.runtime import RuntimeWindow
 
 __all__ = ["TargetConfig"]
@@ -29,28 +30,16 @@ class _ReplicaFallback(dict):
 
     Stateless replicas share their service's profile, so a lookup for
     ``chain2@3`` falls back to the ``chain2`` entry (and caches it, so
-    the dict stays C-speed after first touch).  Only used on
-    replica-armed runs — unarmed clusters keep plain dicts, so the
-    golden fast path never pays for the subclass.
+    the dict stays C-speed after first touch).  Only ``d[key]`` falls
+    back; ``dict.get`` never consults ``__missing__``.
     """
 
     def __missing__(self, key):
-        base = key.partition("@")[0]
-        if base != key:
-            val = dict.get(self, base)
-            if val is not None:
-                self[key] = val
-                return val
+        service = service_of_name(key)
+        if service != key and service in self:
+            value = self[key] = self[service]
+            return value
         raise KeyError(key)
-
-    def get(self, key, default=None):
-        # dict.get never consults __missing__; route through it so
-        # FirstResponder's per-packet ``targets.get(pkt.dst)`` sees
-        # replica names too.
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
 
 @dataclass(frozen=True)

@@ -92,9 +92,12 @@ class FirstResponder:
         self.packets_inspected += 1
         if pkt.kind != REQUEST:
             return
-        target = self.targets.expected_time_from_start.get(pkt.dst)
-        if target is None:
-            return
+        try:
+            # A subscript, not ``.get``: a replica name falls back to its
+            # service's target only through ``__missing__``.
+            target = self.targets.expected_time_from_start[pkt.dst]
+        except KeyError:
+            return  # no target for this destination
         observed = self.sim.now - pkt.start_time
         slack = target - observed
         if slack >= 0:

@@ -105,7 +105,6 @@ def run_fig05(pool_size: int = 4) -> List[Fig05Row]:
                 duration=sc.duration,
                 warmup=sc.warmup,
                 cores_per_node=12.0,
-                record_timelines=True,
                 profile_duration=sc.profile_duration,
             )
             res = run_experiment(cfg)

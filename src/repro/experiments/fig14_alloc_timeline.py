@@ -89,7 +89,6 @@ def run_fig14(workload: str = "readUserTimeline") -> List[Fig14Result]:
             spike_offset=2.0,
             duration=SURGE_LEN + 6.0,
             warmup=sc.warmup,
-            record_timelines=True,
             profile_duration=sc.profile_duration,
         )
         res = run_experiment(cfg)

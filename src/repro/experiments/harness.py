@@ -20,7 +20,7 @@ controller-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,7 +28,9 @@ import numpy as np
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.loadbalancer import LB_POLICIES
 from repro.cluster.network import NetworkConfig
+from repro.cluster.placement import PLACEMENTS
 from repro.controllers.base import Controller, ControllerStats
 from repro.controllers.null import NullController
 from repro.controllers.targets import TargetConfig
@@ -38,7 +40,7 @@ from repro.metrics.summary import LatencySummary, summarize
 from repro.services.registry import get_workload, node_budget
 from repro.services.taskgraph import AppSpec
 from repro.workload.arrivals import RateSchedule
-from repro.workload.generator import OpenLoopClient
+from repro.workload.generator import PACINGS, OpenLoopClient
 
 __all__ = [
     "ExperimentConfig",
@@ -98,8 +100,6 @@ class ExperimentConfig:
     #: Profiling rate as a fraction of base rate ("low load").
     profile_rate_frac: float = 0.25
     pacing: str = "uniform"
-    #: Record allocation/frequency timelines (Fig. 14).
-    record_timelines: bool = False
     #: Extra simulated time after injection stops, to drain in-flight
     #: requests before reading final metrics.
     drain: float = 2.0
@@ -112,19 +112,15 @@ class ExperimentConfig:
     #: profile cache key deliberately excludes faults so faulty and
     #: fault-free cells of one workload share a profiling pass.
     faults: Optional[FaultPlan] = None
-    #: ``None`` = legacy unreplicated routing.  An int >= 1 arms the
-    #: replica/LB tier on the *measured* run with that many initial
-    #: replicas per service (profiling always runs unreplicated — the
-    #: per-service targets are replica-independent, and the profile
-    #: cache stays shared across replica settings).  ``replicas=1``
-    #: with the default budget is bit-identical to unreplicated.
-    replicas: Optional[int] = None
-    #: Load-balancing policy when the replica tier is armed.
+    #: Initial replicas per service behind the load-balancer tier on
+    #: the *measured* run.  Profiling always runs one replica per
+    #: service: the per-service targets are replica-independent, and
+    #: the profile cache stays shared across replica settings.
+    replicas: int = 1
+    #: Load-balancing policy of the replica tier.
     lb_policy: str = "round_robin"
-    #: Size the node budget to host this many replicas per service
-    #: (``None`` keeps the unreplicated budget — required for the
-    #: replicas=1 identity cells).
-    replica_capacity: Optional[int] = None
+    #: Size the node budget to host this many replicas per service.
+    replica_capacity: int = 1
     #: Network fabric override (``None`` = default
     #: :class:`~repro.cluster.network.NetworkConfig`).  The multinode
     #: validate family sets ``jitter=0`` here.
@@ -142,6 +138,22 @@ class ExperimentConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {value!r}"
+                )
+        # Topology fields are otherwise read only when the run starts
+        # (or, for placement on one node, never).
+        for name in ("n_nodes", "replicas", "replica_capacity"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        for name, choices in (
+            ("lb_policy", tuple(LB_POLICIES)),
+            ("placement", PLACEMENTS),
+            ("pacing", PACINGS),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    f"{name} must be one of {choices}, got {value!r}"
                 )
 
     def resolved_rate(self) -> float:
@@ -173,9 +185,11 @@ class ExperimentResult:
     controller_stats: ControllerStats
     #: (arrival_time, latency) of measured completed requests.
     latency_trace: np.ndarray
-    #: Allocation change events (t, container, cores) when recorded.
+    #: Allocation events (t, container, cores): initial allocations,
+    #: then every change.
     alloc_events: List[Tuple[float, str, float]] = field(default_factory=list)
-    #: Frequency change events (t, container, Hz) when recorded.
+    #: Frequency events (t, container, Hz): initial levels, then every
+    #: change.
     freq_events: List[Tuple[float, str, float]] = field(default_factory=list)
     outstanding: int = 0
     #: FirstResponder packet inspections (SurgeGuard runs only).
@@ -216,18 +230,13 @@ def clear_profile_cache() -> None:
 
 
 def _build_cluster(
-    cfg: ExperimentConfig,
-    app: AppSpec,
-    seed: int,
-    *,
-    record: bool,
-    replicated: bool = False,
+    cfg: ExperimentConfig, app: AppSpec, seed: int
 ) -> Tuple[Simulator, Cluster]:
-    armed = replicated and cfg.replicas is not None
     cores = cfg.cores_per_node
     if cores is None:
-        capacity = cfg.replica_capacity if (armed and cfg.replica_capacity) else 1
-        cores = node_budget(app, n_nodes=cfg.n_nodes, replica_capacity=capacity)
+        cores = node_budget(
+            app, n_nodes=cfg.n_nodes, replica_capacity=cfg.replica_capacity
+        )
     sim = Simulator()
     rng = RngRegistry(seed)
     # The network override is threaded only when set, so the default
@@ -237,8 +246,7 @@ def _build_cluster(
         n_nodes=cfg.n_nodes,
         cores_per_node=cores,
         placement=cfg.placement if cfg.n_nodes > 1 else "pack",
-        record_timelines=record,
-        replicas=cfg.replicas if armed else None,
+        replicas=cfg.replicas,
         lb_policy=cfg.lb_policy,
         **extra,
     )
@@ -271,7 +279,10 @@ def profile_targets(cfg: ExperimentConfig) -> TargetConfig:
         return cached
 
     app = cfg.resolved_app()
-    sim, cluster = _build_cluster(cfg, app, seed=0, record=False)
+    # One replica per service and its budget, whatever the measured run
+    # deploys.
+    one = replace(cfg, replicas=1, replica_capacity=1)
+    sim, cluster = _build_cluster(one, app, seed=0)
     rate = cfg.resolved_rate() * cfg.profile_rate_frac
     client = OpenLoopClient(
         sim, cluster, RateSchedule(rate), duration=cfg.profile_duration
@@ -354,14 +365,8 @@ def run_experiment(
     """
     if targets is None:
         targets = profile_targets(cfg)
-    if cfg.replicas is not None:
-        # Fresh copy with replica-name fallback — never mutate the
-        # (possibly cached, shared) profiled TargetConfig.
-        targets = targets.with_replica_fallback()
     app = cfg.resolved_app()
-    sim, cluster = _build_cluster(
-        cfg, app, seed=cfg.seed, record=cfg.record_timelines, replicated=True
-    )
+    sim, cluster = _build_cluster(cfg, app, seed=cfg.seed)
     for surge_start, surge_end, surge_extra in cfg.latency_surges:
         cluster.network.add_latency_surge(surge_start, surge_end, surge_extra)
 
@@ -391,7 +396,9 @@ def run_experiment(
     )
 
     controller = cfg.controller_factory()
-    controller.attach(sim, cluster, targets)
+    # A fresh copy with replica-name fallback: the (possibly cached,
+    # shared) profiled TargetConfig is never mutated.
+    controller.attach(sim, cluster, targets.with_replica_fallback())
 
     # Arm faults after attach (escalators exist for the restart hook)
     # and before monitors (so conservation checks see the RPC layer) and

@@ -109,7 +109,6 @@ def _shootout_config(workload: str, scenario: str, controller: str) -> Experimen
         duration=sc.duration,
         warmup=sc.warmup,
         profile_duration=sc.profile_duration,
-        record_timelines=True,
     )
     if scenario == "spike":
         from dataclasses import replace

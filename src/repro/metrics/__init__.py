@@ -11,12 +11,10 @@ from repro.metrics.violation import (
     violation_duration,
     violation_volume,
 )
-from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.timeseries import StepSeries
 from repro.metrics.summary import LatencySummary, summarize
 
 __all__ = [
-    "LatencyHistogram",
     "LatencySummary",
     "StepSeries",
     "excess_latency",

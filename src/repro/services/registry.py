@@ -124,7 +124,7 @@ def node_budget(
     ``replica_capacity`` sizes the budget for horizontal scaling: the
     cluster can host up to that many replicas of every service at their
     initial allocations (plus the usual headroom).  The default of 1
-    reproduces the unreplicated budget exactly.
+    hosts one replica per service.
     """
     if replica_capacity < 1:
         raise ValueError("replica_capacity must be >= 1")

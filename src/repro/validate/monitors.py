@@ -542,9 +542,8 @@ class ReplicaConservationMonitor(InvariantMonitor):
     """The load-balancer tier's routing ledger balances exactly.
 
     Pure finalize-time checks against the counters the LB and the
-    service instances already keep (nothing is hooked); arming it on an
-    unreplicated run (``cluster.replica_sets is None``) is a no-op, so
-    the monitor is free for the legacy matrix families.
+    service instances already keep (nothing is hooked), so the monitor
+    is free on every cell, one replica per service included.
 
     Per :class:`~repro.cluster.loadbalancer.ReplicaSet`:
 
@@ -563,11 +562,8 @@ class ReplicaConservationMonitor(InvariantMonitor):
 
     def _finalize(self) -> None:
         assert self.cluster is not None and self.sim is not None
-        rsets = getattr(self.cluster, "replica_sets", None)
-        if not rsets:
-            return
         drained = self.sim.live_events_pending == 0
-        for service, rset in rsets.items():
+        for service, rset in self.cluster.replica_sets.items():
             self.checks += 1
             routed = sum(r.dispatched for r in rset.replicas)
             if rset.dispatched != routed:

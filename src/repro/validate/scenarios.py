@@ -217,9 +217,8 @@ def _horizontal_cell_config(workload_key: str, controller: str, scenario: str) -
     return ExperimentConfig(
         workload=workload_key,
         controller_factory=spec(controller, **_HPA_CELL),
-        # Replicas are real here: start at 1 per service behind the LB,
-        # with node budget sized to host the autoscaler's max.
-        replicas=1,
+        # Start at 1 replica per service behind the LB, with node budget
+        # sized to host the autoscaler's max.
         lb_policy="round_robin",
         replica_capacity=_HPA_CELL["max_replicas"],
         **_SPIKE,
@@ -275,7 +274,7 @@ def horizontal_matrix(
 #: Controller-zoo family: the related-work plugins of DESIGN.md §11.
 ZOO_CONTROLLERS: Tuple[str, ...] = ("statuscale", "lsram")
 
-#: Zoo scenarios: the vertical-scaling shapes plus the replica-armed
+#: Zoo scenarios: the vertical-scaling shapes plus the two-replica
 #: surge, which exercises both plugins on ``svc@k`` replica endpoints
 #: (targets resolved through the replica fallback).
 ZOO_SCENARIOS: Tuple[str, ...] = ("steady", "spike", "replica-surge")

@@ -27,7 +27,10 @@ from repro.cluster.packet import RpcPacket
 from repro.metrics.buffers import FloatBuffer
 from repro.workload.arrivals import RateSchedule
 
-__all__ = ["ClientStats", "OpenLoopClient"]
+__all__ = ["PACINGS", "ClientStats", "OpenLoopClient"]
+
+#: Arrival pacing modes accepted by :class:`OpenLoopClient`.
+PACINGS = ("uniform", "poisson")
 
 
 @dataclass
@@ -103,7 +106,7 @@ class OpenLoopClient:
     ):
         if duration <= 0:
             raise ValueError("duration must be positive")
-        if pacing not in ("uniform", "poisson"):
+        if pacing not in PACINGS:
             raise ValueError(f"unknown pacing {pacing!r}")
         if pacing == "poisson" and rng is None:
             raise ValueError("poisson pacing requires an rng")

@@ -48,7 +48,7 @@ class TestControllerApi:
         )
 
     def test_timeline_recording(self, sim, make_cluster, small_app):
-        cluster = make_cluster(small_app, record_timelines=True)
+        cluster = make_cluster(small_app)
         sim.schedule(1.0, cluster.set_cores, "s0", 3.0)
         sim.run()
         assert (1.0, "s0", 3.0) in cluster.alloc_events

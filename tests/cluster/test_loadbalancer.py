@@ -80,16 +80,17 @@ class TestClusterConfigValidation:
             ClusterConfig(replicas=2, lb_policy="random")
 
 
-class TestUnarmedCluster:
-    def test_replica_api_degrades_to_identity(self, small_cluster):
-        assert small_cluster.replica_sets is None
+class TestDefaultCluster:
+    def test_every_service_is_a_one_replica_set(self, small_cluster):
+        assert set(small_cluster.replica_sets) == {"s0", "s1", "s2"}
         assert small_cluster.replicas_of("s1") == ["s1"]
         assert small_cluster.service_of("s1") == "s1"
-        with pytest.raises(RuntimeError, match="replica-armed"):
-            small_cluster.scale_out("s1")
-        with pytest.raises(RuntimeError, match="replica-armed"):
-            small_cluster.scale_in("s1")
+        assert small_cluster.scale_in("s1") is None
         assert small_cluster.reap_draining() == 0
+        assert small_cluster.scale_out("s1") == "s1@1"
+        assert small_cluster.replicas_of("s1") == ["s1", "s1@1"]
+        # Only service names are LB aliases; a launch adds none.
+        assert sorted(small_cluster.network._virtual) == ["s0", "s1", "s2"]
 
 
 class TestArmedCluster:

@@ -28,7 +28,6 @@ class TestBehavior:
         — the deficiency is purely latency."""
         cfg = mini_config(
             CentralizedMLController, spike_len=3.0, duration=6.0,
-            record_timelines=True,
         )
         res = run_experiment(cfg)
         assert res.controller_stats.upscale_core_actions > 0

@@ -47,7 +47,6 @@ class TestOracle:
         sched = surge_schedule(base)
         cfg = mini_config(
             oracle_factory(sched, 0.001), workload="mini-oracle-ud",
-            record_timelines=True,
         )
         res = run_experiment(cfg)
         ups = res.controller_stats.upscale_core_actions

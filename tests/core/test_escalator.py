@@ -50,7 +50,6 @@ class TestSurgeResponse:
             app=app,
             workload="mini-esc-hidden",
             spike_magnitude=3.0,
-            record_timelines=True,
         )
         res = run_experiment(cfg)
         peak = {"s0": 1.5, "s1": 1.5}
@@ -68,7 +67,6 @@ class TestSurgeResponse:
             app=app,
             workload="mini-esc-blind",
             spike_magnitude=3.0,
-            record_timelines=True,
         )
         res = run_experiment(cfg)
         s1_peak = max(

@@ -81,6 +81,25 @@ def test_bad_run_length_rejected_at_construction(name, value):
         ExperimentConfig(workload="chain", **{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("replicas", 0),
+        ("replicas", -2),
+        ("replica_capacity", 0),
+        ("replica_capacity", -3),
+        ("n_nodes", 0),
+        ("lb_policy", "bogus"),
+        ("placement", "bogus"),
+        ("pacing", "bogus"),
+    ],
+)
+def test_bad_topology_rejected_at_construction(name, value):
+    """Fails at construction, naming the field, not deep in the run."""
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        ExperimentConfig(workload="chain", **{name: value})
+
+
 class TestMeasuredRun:
     def test_measurement_window_excludes_warmup(self):
         cfg = mini_config(NullController)
@@ -109,6 +128,14 @@ class TestMeasuredRun:
         cfg = ExperimentConfig(workload="chain")
         assert cfg.resolved_rate() == 1800.0
         assert cfg.resolved_app().name == "CHAIN"
+
+    def test_default_run_records_initial_allocations(self):
+        cfg = mini_config(NullController)
+        res = run_experiment(cfg)
+        services = cfg.resolved_app().services
+        # The null controller changes nothing after deployment.
+        assert res.alloc_events == [(0.0, s.name, s.initial_cores) for s in services]
+        assert [name for _, name, _ in res.freq_events] == ["s0", "s1"]
 
     def test_explicit_targets_bypass_profiling(self):
         cfg = mini_config(NullController)

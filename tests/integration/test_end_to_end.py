@@ -85,7 +85,7 @@ class TestResourceClaims:
         assert sg.avg_cores <= 1.10 * parties.avg_cores
 
     def test_node_budget_never_violated(self):
-        cfg = quick("chain", SurgeGuardController, record_timelines=True)
+        cfg = quick("chain", SurgeGuardController)
         res = run_experiment(cfg)
         # Replay the allocation log; at no instant may the sum of
         # allocations exceed the node budget.

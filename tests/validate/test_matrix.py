@@ -94,7 +94,7 @@ class TestMatrixConstruction:
         for cell in cells:
             cfg = cell.config
             assert cfg.replicas == 1, cell.key
-            assert cfg.replica_capacity is not None and cfg.replica_capacity > 1
+            assert cfg.replica_capacity > 1
             assert cfg.lb_policy == "round_robin"
             assert cfg.faults is None
             assert cfg.spike_magnitude is not None  # surge-shaped traffic
@@ -131,7 +131,7 @@ class TestMatrixConstruction:
                 assert cfg.replicas == 2, cell.key
                 assert cfg.lb_policy == "round_robin", cell.key
             else:
-                assert cfg.replicas is None, cell.key
+                assert cfg.replicas == 1, cell.key
 
     def test_zoo_matrix_filtering_and_rejection(self):
         cells = zoo_matrix(workloads=["chain"], controllers=["statuscale"])
@@ -165,7 +165,7 @@ class TestMatrixConstruction:
             cfg = cell.config
             assert cfg.network is not None and cfg.network.jitter == 0.0, cell.key
             assert cfg.n_nodes == 4, cell.key
-            assert cfg.faults is None and cfg.replicas is None, cell.key
+            assert cfg.faults is None and cfg.replicas == 1, cell.key
             if cell.scenario == "multinode-steady":
                 assert cfg.spike_magnitude is None, cell.key
             else:
