@@ -137,9 +137,12 @@ class Network:
         #: REQUESTs the LB could not place (no READY replica); the packet
         #: is released, not sent — mirrors a connection-refused at the VIP.
         self.packets_unroutable = 0
-        self._jitter_on = rng is not None and config.jitter > 0
-        # Pre-drawn U(0,1) jitter values (nothing else reads ``rng``).
-        self._jitter = block_draws(rng.random) if self._jitter_on else None
+        # Pre-drawn U(0,1) jitter values (nothing else reads ``rng``);
+        # ``None`` when jitter is off.
+        self._jitter = (
+            block_draws(rng.random) if rng is not None and config.jitter > 0 else None
+        )
+        self._jitter_scale = config.jitter
         # Active-surge cache: total extra valid for t in [_surge_from, _surge_until).
         self._surge_active = 0.0
         self._surge_from = -math.inf
@@ -209,11 +212,6 @@ class Network:
         self._surge_from = math.inf
         self._surge_until = -math.inf
 
-    def _surge_extra(self, t: float) -> float:
-        if self._surge_from <= t < self._surge_until:
-            return self._surge_active
-        return self._surge_rescan(t)
-
     def _surge_rescan(self, t: float) -> float:
         """Recompute the active extra at ``t`` and its validity window,
         pruning surges that ended at or before ``t``."""
@@ -240,26 +238,11 @@ class Network:
         return extra
 
     # ------------------------------------------------------------- delivery
-    def _jitter_factor(self) -> float:
-        """Next ``1 + U(0, jitter)`` multiplier."""
-        return 1.0 + next(self._jitter) * self.config.jitter
-
-    def latency(self, src: str, dst: str) -> float:
-        """One-way latency for a packet sent *now* from ``src`` to ``dst``."""
-        route = self._routes.get((src, dst))
-        if route is None:
-            route = self._route(src, dst)
-        base, dst_node, _ = route
-        if self._jitter_on:
-            base *= self._jitter_factor()
-        base += self._surge_extra(self.sim.now)
-        if dst_node is not None:
-            base += dst_node.rx_overhead
-        return base
-
     def send(self, packet: RpcPacket) -> None:
         """Send ``packet``; it is delivered after the modeled latency.
 
+        The latency is the route's base, times ``1 + U(0, jitter)``, plus
+        the active surge extra and the destination node's RX hook cost.
         Delivery runs the destination node's RX hooks (if any) and then
         the endpoint handler.
         """
@@ -278,9 +261,11 @@ class Network:
         if route is None:
             route = self._route(packet.src, packet.dst)
         base, dst_node, handler = route
-        if self._jitter_on:
-            base *= self._jitter_factor()
-        t = self.sim.now
+        jitter = self._jitter
+        if jitter is not None:
+            base *= 1.0 + next(jitter) * self._jitter_scale
+        sim = self.sim
+        t = sim._now
         if self._surge_from <= t < self._surge_until:
             base += self._surge_active
         else:
@@ -289,7 +274,10 @@ class Network:
             base += dst_node._rx_overhead
         packet.send_time = t
         self.packets_sent += 1
-        self.sim.schedule(base, self._deliver, packet, dst_node, handler)
+        # ``schedule(base, ...)`` without its delay check: ``base`` is
+        # non-negative by construction, and ``schedule_at`` still
+        # rejects a non-finite time.
+        sim.schedule_at(t + base, self._deliver, packet, dst_node, handler)
 
     def _deliver(
         self, packet: RpcPacket, node: Optional[Node], handler: Endpoint
@@ -298,7 +286,8 @@ class Network:
         for obs in self._observers:
             obs(packet)
         if node is not None:
-            node.on_packet(packet)
+            for hook in node._hook_fns:
+                hook(packet)
         handler(packet)
         if packet.kind == RESPONSE:
             # Central release point: a response's life ends with its

@@ -143,8 +143,11 @@ class Node:
         self._refresh_hook_caches()
 
     def remove_rx_hook(self, hook: RxHook) -> None:
-        """Detach a previously-added hook (no-op if absent)."""
-        self._hooks = [(c, h) for (c, h) in self._hooks if h is not hook]
+        """Detach a previously-added hook (no-op if absent).
+
+        Equality (not identity) comparison, so a re-derived bound method
+        like ``fr.on_packet`` matches the one originally added."""
+        self._hooks = [(c, h) for (c, h) in self._hooks if h != hook]
         self._refresh_hook_caches()
 
     def _refresh_hook_caches(self) -> None:
@@ -155,11 +158,6 @@ class Node:
     def rx_overhead(self) -> float:
         """Total per-packet latency added by the installed hooks."""
         return self._rx_overhead
-
-    def on_packet(self, packet: "RpcPacket") -> None:
-        """Run all RX hooks on an arriving packet (called by the network)."""
-        for hook in self._hook_fns:
-            hook(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -19,7 +19,8 @@ Design notes
   wrapper :class:`repro.sim.process.PeriodicProcess` covers the common
   "controller decision cycle" pattern.
 * Handles are *recycled*: after an event fires (or a lazily-cancelled entry
-  is dropped) the handle goes back on a free list and the next
+  is dropped, on pop or by compaction) the handle goes back on a free list
+  and the next
   :meth:`Simulator.schedule` reuses it — but **only** when
   ``sys.getrefcount`` proves the run loop holds the last reference.  A
   handle someone kept (say, for a later ``cancel()``) is never recycled,
@@ -30,9 +31,9 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
-import math
 import sys
+from heapq import heapify, heappop, heappush
+from math import inf, isfinite
 from typing import Any, Callable, Optional
 
 from repro.sim.recycle import pool_enabled
@@ -48,43 +49,49 @@ class EventHandle:
     """A cancellable reference to a scheduled event.
 
     Instances are created by :meth:`Simulator.schedule`; user code should
-    only ever call :meth:`cancel` and read :attr:`time`.
+    only ever call :meth:`cancel` and read :attr:`time`.  ``fn is None``
+    is the one dead mark: the event fired, was cancelled or was drained.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "owner")
+    __slots__ = ("time", "seq", "fn", "args", "owner")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        fn: Callable[..., Any],
+        args: tuple,
+        owner: "Simulator",
+    ):
         self.time = time
         self.seq = seq
         self.fn: Optional[Callable[..., Any]] = fn
         self.args = args
-        self.cancelled = False
-        #: The owning :class:`Simulator`, so cancellation can keep its
-        #: lazily-cancelled-entry count (heap compaction trigger) honest.
-        self.owner: Optional["Simulator"] = None
+        #: The :class:`Simulator` that built the handle, so cancellation
+        #: can keep its lazily-cancelled-entry count (heap compaction
+        #: trigger) honest.  Fixed for life: a handle only ever returns
+        #: to its builder's free list.
+        self.owner = owner
 
     def cancel(self) -> None:
         """Cancel the event.  Idempotent; cancelling a fired event is a no-op."""
-        owner = self.owner
-        live = not self.cancelled and self.fn is not None
-        self.cancelled = True
+        if self.fn is None:
+            return
         # Drop references so a cancelled handle retained by user code does not
         # keep a whole object graph alive until the heap drains.
         self.fn = None
         self.args = ()
-        self.owner = None
         # Only now, so a compaction this cancel triggers already sees the
         # entry as dead and drops it along with the count it resets.
-        if live and owner is not None:
-            owner._note_cancel()
+        self.owner._note_cancel()
 
     @property
     def active(self) -> bool:
         """True while the event is scheduled and not yet fired or cancelled."""
-        return not self.cancelled and self.fn is not None
+        return self.fn is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "active"
+        state = "active" if self.fn is not None else "dead"
         return f"<EventHandle t={self.time:.9f} seq={self.seq} {state}>"
 
 
@@ -115,7 +122,7 @@ class Simulator:
         "_fired_count",
         "_cancelled_pending",
         "_free",
-        "_handles_recycled",
+        "_handles_constructed",
         "trace_hook",
     )
 
@@ -141,7 +148,7 @@ class Simulator:
         self._free: Optional[list[EventHandle]] = (
             [] if pool_enabled() and sys.implementation.name == "cpython" else None
         )
-        self._handles_recycled = 0
+        self._handles_constructed = 0
         #: optional callable ``(time, fn, args)`` invoked before each event;
         #: used by tests and the debugging tracer, ``None`` in production runs.
         self.trace_hook: Optional[Callable[[float, Callable, tuple], None]] = None
@@ -164,13 +171,13 @@ class Simulator:
 
     @property
     def handles_recycled(self) -> int:
-        """Schedules served from the handle free list (allocation bench)."""
-        return self._handles_recycled
+        """Schedules served from the handle free list."""
+        return self._seq - self._handles_constructed
 
     @property
     def handles_constructed(self) -> int:
         """Fresh :class:`EventHandle` allocations so far."""
-        return self._seq - self._handles_recycled
+        return self._handles_constructed
 
     @property
     def live_events_pending(self) -> int:
@@ -189,13 +196,13 @@ class Simulator:
         ``delay`` must be finite and non-negative.  Returns a cancellable
         :class:`EventHandle`.
         """
-        if delay < 0.0 or not math.isfinite(delay):
+        if delay < 0.0 or not isfinite(delay):
             raise SimulationError(f"invalid event delay {delay!r}")
         return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now or not math.isfinite(time):
+        if time < self._now or not isfinite(time):
             raise SimulationError(
                 f"cannot schedule at t={time!r} (now={self._now!r})"
             )
@@ -207,14 +214,11 @@ class Simulator:
             handle.seq = seq
             handle.fn = fn
             handle.args = args
-            handle.cancelled = False
-            handle.owner = self
-            self._handles_recycled += 1
         else:
-            handle = EventHandle(time, seq, fn, args)
-            handle.owner = self
+            handle = EventHandle(time, seq, fn, args, self)
+            self._handles_constructed += 1
         self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, handle))
+        heappush(self._heap, (time, seq, handle))
         return handle
 
     def _note_cancel(self) -> None:
@@ -223,16 +227,29 @@ class Simulator:
         Once lazily-cancelled entries both exceed a fixed floor and make
         up over half the heap, rebuild it without them: the container
         rescheduling pattern can otherwise leave it dominated by dead
-        entries.
+        entries.  A dropped handle goes on the free list when
+        ``sys.getrefcount`` proves its heap entry held the last reference.
         """
         self._cancelled_pending += 1
         if self._cancelled_pending < self._COMPACT_MIN:
             return
         heap = self._heap
         if self._cancelled_pending * 2 > len(heap):
+            free = self._free
+            getrefcount = sys.getrefcount
+            live = []
+            for entry in heap:
+                handle = entry[2]
+                if handle.fn is not None:
+                    live.append(entry)
+                # 3 = the entry tuple + the local ``handle`` +
+                # getrefcount's argument; the handle being cancelled
+                # right now reads higher, as its canceller holds it.
+                elif free is not None and getrefcount(handle) == 3:
+                    free.append(handle)
             # In-place so loops holding a reference to the list stay valid.
-            heap[:] = [e for e in heap if e[2].fn is not None]
-            heapq.heapify(heap)
+            heap[:] = live
+            heapify(heap)
             self._cancelled_pending = 0
 
     # ---------------------------------------------------------------- running
@@ -257,10 +274,9 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        budget = math.inf if max_events is None else max_events
-        horizon = math.inf if until is None else until
+        budget = inf if max_events is None else max_events
+        horizon = inf if until is None else until
         heap = self._heap
-        heappop = heapq.heappop
         free = self._free
         getrefcount = sys.getrefcount
         try:
@@ -270,14 +286,14 @@ class Simulator:
                 time, seq, handle = heappop(heap)
                 if handle.fn is None:  # lazily-cancelled entry: drop and rescan
                     self._cancelled_pending -= 1
-                    # ``cancel()`` already cleared fn/args/owner; a
-                    # refcount of 2 (the local + getrefcount's arg)
-                    # proves the canceller dropped its reference too.
+                    # ``cancel()`` already cleared fn/args; a refcount of
+                    # 2 (the local + getrefcount's arg) proves the
+                    # canceller dropped its reference too.
                     if free is not None and getrefcount(handle) == 2:
                         free.append(handle)
                     continue
                 if time > horizon:
-                    heapq.heappush(heap, (time, seq, handle))
+                    heappush(heap, (time, seq, handle))
                     break
                 self._now = time
                 fn, args = handle.fn, handle.args
@@ -286,7 +302,6 @@ class Simulator:
                 # fired handle someone retained must not pin the callback's
                 # argument graph until GC.
                 handle.args = ()
-                handle.owner = None
                 if self.trace_hook is not None:
                     self.trace_hook(time, fn, args)
                 self._fired_count += 1
@@ -310,6 +325,5 @@ class Simulator:
         for _, _, handle in self._heap:
             handle.fn = None
             handle.args = ()
-            handle.owner = None
         self._heap.clear()
         self._cancelled_pending = 0

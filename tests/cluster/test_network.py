@@ -10,10 +10,44 @@ from repro.cluster.packet import REQUEST, RpcPacket
 from repro.sim.rng import BLOCK
 
 
-def mk_packet(src="a", dst="b", upscale=0):
+def mk_packet(src="a", dst="b", upscale=0, request_id=1):
     return RpcPacket(
-        request_id=1, kind=REQUEST, src=src, dst=dst, start_time=0.0, upscale=upscale
+        request_id=request_id,
+        kind=REQUEST,
+        src=src,
+        dst=dst,
+        start_time=0.0,
+        upscale=upscale,
     )
+
+
+def sent_latency(sim, net, src="a", dst="b"):
+    """Latency of one real ``send`` from ``src`` to ``dst`` now: the
+    time its delivery fires, less the time it was sent."""
+    sent = sim.now
+    arrived = []
+    tap = lambda p: arrived.append(sim.now)
+    net.add_observer(tap)
+    net.send(mk_packet(src, dst))
+    sim.run()
+    net.remove_observer(tap)
+    (delivered,) = arrived
+    return delivered - sent
+
+
+def delivery_times(sim, net, n, src="a", dst="b"):
+    """Send ``n`` packets at t=0 and return each one's delivery time, in
+    send order: at t=0 the delivery time is the latency itself, so it
+    can be compared bit-exactly."""
+    assert sim.now == 0.0
+    arrived = {}
+    tap = lambda p: arrived.setdefault(p.request_id, sim.now)
+    net.add_observer(tap)
+    for i in range(n):
+        net.send(mk_packet(src, dst, request_id=i))
+    sim.run()
+    net.remove_observer(tap)
+    return [arrived[i] for i in range(n)]
 
 
 @pytest.fixture
@@ -70,14 +104,14 @@ class TestLatency:
         net.register("a", n0, lambda p: None)
         net.register("b", n0, lambda p: None)
         net.register("c", n1, lambda p: None)
-        assert net.latency("a", "b") == pytest.approx(5e-6)
-        assert net.latency("a", "c") == pytest.approx(30e-6)
+        assert sent_latency(sim, net, "a", "b") == pytest.approx(5e-6)
+        assert sent_latency(sim, net, "a", "c") == pytest.approx(30e-6)
 
     def test_external_endpoint_is_remote(self, sim, net, two_nodes):
         n0, _ = two_nodes
         net.register("a", n0, lambda p: None)
         net.register("client", None, lambda p: None)
-        assert net.latency("client", "a") == pytest.approx(
+        assert sent_latency(sim, net, "client", "a") == pytest.approx(
             net.config.inter_node_latency
         )
 
@@ -165,44 +199,44 @@ class TestSurgeTimeline:
     def test_surge_cost_drops_to_zero_after_end(self, sim, routed):
         routed.add_latency_surge(0.0, 1.0, extra=0.005)
         inter = routed.config.inter_node_latency
-        assert routed.latency("a", "b") == pytest.approx(0.005 + inter)
+        assert sent_latency(sim, routed) == pytest.approx(0.005 + inter)
         self._advance_to(sim, 2.0)
-        assert routed.latency("a", "b") == pytest.approx(inter)
+        assert sent_latency(sim, routed) == pytest.approx(inter)
 
     def test_expired_surges_pruned_from_timeline(self, sim, routed):
         routed.add_latency_surge(0.0, 1.0, extra=0.005)
         routed.add_latency_surge(0.5, 1.5, extra=0.002)
         self._advance_to(sim, 2.0)
-        routed.latency("a", "b")  # triggers the rescan/prune
+        sent_latency(sim, routed)  # triggers the rescan/prune
         assert routed._surges == []
 
     def test_wholly_past_window_dropped_on_add(self, sim, routed):
         self._advance_to(sim, 5.0)
         routed.add_latency_surge(0.0, 1.0, extra=0.005)
         assert routed._surges == []
-        assert routed.latency("a", "b") == pytest.approx(
+        assert sent_latency(sim, routed) == pytest.approx(
             routed.config.inter_node_latency
         )
 
     def test_overlapping_surges_sum(self, sim, routed):
         routed.add_latency_surge(0.0, 2.0, extra=0.005)
         routed.add_latency_surge(0.0, 1.0, extra=0.002)
-        assert routed.latency("a", "b") == pytest.approx(
+        assert sent_latency(sim, routed) == pytest.approx(
             0.007 + routed.config.inter_node_latency
         )
 
     def test_adding_surge_invalidates_active_cache(self, sim, routed):
         inter = routed.config.inter_node_latency
-        assert routed.latency("a", "b") == pytest.approx(inter)  # caches "no surge"
+        assert sent_latency(sim, routed) == pytest.approx(inter)  # caches "no surge"
         routed.add_latency_surge(0.0, 1.0, extra=0.005)
-        assert routed.latency("a", "b") == pytest.approx(0.005 + inter)
+        assert sent_latency(sim, routed) == pytest.approx(0.005 + inter)
 
     def test_cache_expires_at_next_boundary(self, sim, routed):
         inter = routed.config.inter_node_latency
         routed.add_latency_surge(1.0, 2.0, extra=0.005)
-        assert routed.latency("a", "b") == pytest.approx(inter)
+        assert sent_latency(sim, routed) == pytest.approx(inter)
         self._advance_to(sim, 1.5)
-        assert routed.latency("a", "b") == pytest.approx(0.005 + inter)
+        assert sent_latency(sim, routed) == pytest.approx(0.005 + inter)
 
 
 class TestJitterBatching:
@@ -216,7 +250,7 @@ class TestJitterBatching:
         n0, _ = two_nodes
         net.register("a", n0, lambda p: None)
         net.register("b", n0, lambda p: None)
-        got = [net.latency("a", "b") for _ in range(5)]
+        got = delivery_times(sim, net, 5)
         ref_rng = np.random.default_rng(7)
         want = [5e-6 * (1.0 + float(ref_rng.random()) * 0.1) for _ in range(5)]
         assert got == want  # bit-identical, not approx
@@ -240,7 +274,7 @@ class TestRxHooks:
         n0.add_rx_hook(lambda p: None, cost=0.26e-6)
         net.register("a", n0, lambda p: None)
         net.register("b", n0, lambda p: None)
-        assert net.latency("a", "b") == pytest.approx(5e-6 + 0.26e-6)
+        assert sent_latency(sim, net) == pytest.approx(5e-6 + 0.26e-6)
 
     def test_external_endpoints_skip_hooks(self, sim, net, two_nodes):
         n0, _ = two_nodes
@@ -261,7 +295,7 @@ class TestJitter:
         net.register("a", n0, lambda p: None)
         net.register("b", n1, lambda p: None)
         n = 2 * BLOCK + 3  # past two refills
-        got = [net.latency("a", "b") for _ in range(n)]
+        got = delivery_times(sim, net, n)
         ref = np.random.default_rng(5)
         want = [
             cfg.inter_node_latency * (1.0 + float(ref.random()) * cfg.jitter) + 0.0 + 0.0
@@ -275,5 +309,5 @@ class TestJitter:
         net = Network(sim, NetworkConfig(jitter=0.0), rng)
         net.register("a", two_nodes[0], lambda p: None)
         net.register("b", two_nodes[1], lambda p: None)
-        assert net.latency("a", "b") == NetworkConfig().inter_node_latency
+        assert delivery_times(sim, net, 1) == [NetworkConfig().inter_node_latency]
         assert rng.bit_generator.state == before

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cluster.container import Container
+from repro.cluster.network import Network, NetworkConfig
 from repro.cluster.node import Node
+from repro.cluster.packet import REQUEST, RpcPacket
 
 
 @pytest.fixture
@@ -15,6 +17,15 @@ def add(node, name, cores):
     c = Container(node.sim, name, node.dvfs, cores=cores)
     node.add_container(c)
     return c
+
+
+def deliver(node):
+    """Deliver one packet to an endpoint on ``node`` through a bare network."""
+    net = Network(node.sim, NetworkConfig(jitter=0.0))
+    net.register("client", None, lambda p: None)
+    net.register("dst", node, lambda p: None)
+    net.send(RpcPacket(request_id=1, kind=REQUEST, src="client", dst="dst", start_time=0.0))
+    node.sim.run()
 
 
 class TestBudget:
@@ -70,7 +81,7 @@ class TestHooks:
         calls = []
         node.add_rx_hook(lambda p: calls.append(1))
         node.add_rx_hook(lambda p: calls.append(2))
-        node.on_packet(object())
+        deliver(node)
         assert calls == [1, 2]
 
     def test_rx_overhead_sums_costs(self, node):
@@ -83,8 +94,24 @@ class TestHooks:
         hook = lambda p: calls.append(1)
         node.add_rx_hook(hook, cost=1e-6)
         node.remove_rx_hook(hook)
-        node.on_packet(object())
+        deliver(node)
         assert calls == []
+        assert node.rx_overhead == 0.0
+
+    def test_remove_bound_method_hook(self, node):
+        # Every ``tap.on_packet`` access builds a new bound-method
+        # object, so removal must match by equality, not identity.
+        class Tap:
+            calls = 0
+
+            def on_packet(self, p):
+                self.calls += 1
+
+        tap = Tap()
+        node.add_rx_hook(tap.on_packet, cost=0.26e-6)
+        node.remove_rx_hook(tap.on_packet)
+        deliver(node)
+        assert tap.calls == 0
         assert node.rx_overhead == 0.0
 
     def test_negative_cost_rejected(self, node):

@@ -202,6 +202,37 @@ class TestHandleRecycling:
         assert fresh is not kept
         assert sim.handles_recycled == 0
 
+    def test_compaction_recycles_unreferenced_cancelled_handles(self):
+        sim = Simulator()
+        n = Simulator._COMPACT_MIN + 88
+        handles = [sim.schedule(1.0, lambda: None) for _ in range(n)]
+        # Cancelled and dropped one by one: the _COMPACT_MIN-th cancel
+        # compacts the heap while its own handle is still referenced.
+        while handles:
+            handles.pop().cancel()
+        assert sim.events_pending == n - Simulator._COMPACT_MIN
+        for _ in range(Simulator._COMPACT_MIN - 1):
+            sim.schedule(2.0, lambda: None)
+        assert sim.handles_constructed == n
+        assert sim.handles_recycled == Simulator._COMPACT_MIN - 1
+        sim.run()
+        assert sim.live_events_pending == 0
+
+    def test_compaction_never_recycles_a_retained_cancelled_handle(self):
+        sim = Simulator()
+        n = Simulator._COMPACT_MIN + 88
+        kept = sim.schedule(1.0, lambda: None)
+        kept.cancel()
+        handles = [sim.schedule(1.0, lambda: None) for _ in range(n)]
+        while handles:
+            handles.pop().cancel()  # compacts, dropping ``kept``'s entry
+        assert sim.events_pending < n
+        fresh = [sim.schedule(2.0, lambda: None) for _ in range(n)]
+        assert all(h is not kept for h in fresh)
+        assert kept.fn is None and kept.args == ()
+        kept.cancel()  # still a dead handle: a no-op
+        assert sim.live_events_pending == n
+
     def test_env_kill_switch_disables_recycling(self, monkeypatch):
         monkeypatch.setenv("REPRO_POOL", "0")
         sim = Simulator()

@@ -8,7 +8,9 @@ entries pass the floor *and* outnumber the live ones.  Random
 interleavings of schedule, cancel, respawn-from-callback, partial
 ``run(max_events=...)`` and ``run(until=...)`` must produce the same
 fire log and the same ``events_pending`` / ``live_events_pending``
-accounting after every op.
+accounting after every op.  A cancel may also drop the program's
+reference to the handle, which lets the engine recycle it (on pop or
+in a compaction) for a later schedule.
 
 ``Simulator._COMPACT_MIN`` is lowered for the run so compaction fires
 inside short programs too.  Plain ``==`` throughout — no ``approx``.
@@ -36,7 +38,7 @@ _delays = st.one_of(
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), _delays, st.integers(0, 2)),
-        st.tuples(st.just("cancel"), st.integers(0, 10_000), st.just(0)),
+        st.tuples(st.just("cancel"), st.integers(0, 10_000), st.integers(0, 1)),
         st.tuples(st.just("run"), st.integers(1, 8), st.just(0)),
         st.tuples(st.just("until"), _delays, st.just(0)),
     ),
@@ -113,6 +115,16 @@ class _Reference:
             self.now = until
 
 
+class _Dropped:
+    """Stands in for a handle the program no longer holds."""
+
+    def cancel(self):
+        pass
+
+
+_DROPPED = _Dropped()
+
+
 def _execute(ops, sim):
     """Run one op program; return ``(fire_log, accounting_trace)``."""
     log = []
@@ -140,7 +152,13 @@ def _execute(ops, sim):
             handles.append(sim.schedule(a, make_cb(tag, b, a)))
         elif kind == "cancel":
             if handles:
-                handles[a % len(handles)].cancel()
+                i = a % len(handles)
+                handles[i].cancel()
+                if b:
+                    # Drop the program's reference, so the engine may
+                    # recycle the handle once its entry leaves the heap
+                    # (popped, or dropped by a compaction).
+                    handles[i] = _DROPPED
         elif kind == "run":
             sim.run(max_events=a)
         else:
@@ -166,6 +184,16 @@ def _execute(ops, sim):
     # pins that the cancel which triggers compaction is dropped with it.
     [("schedule", d, 0) for d in (4.0, 1.0, 3.0, 8.0, 6.0, 3.0)]
     + [("cancel", i, 0) for i in (2, 0, 4, 1)]
+    + [("run", 8, 0)]
+)
+@example(
+    # The same compaction with every cancelled handle still held: none
+    # may be recycled, so cancelling one again after the next schedule
+    # must not hit the new event.
+    [("schedule", d, 0) for d in (4.0, 1.0, 3.0, 8.0, 6.0, 3.0)]
+    + [("cancel", i, 0) for i in (2, 0, 4, 1)]
+    + [("schedule", 5.0, 0)]
+    + [("cancel", i, 0) for i in (0, 1, 2, 4)]
     + [("run", 8, 0)]
 )
 def test_simulator_matches_reference_model(ops):
