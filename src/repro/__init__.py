@@ -9,7 +9,7 @@ Layout
 ``repro.cluster``
     The simulated testbed: nodes, DVFS, processor-sharing containers,
     connection pools (both threading models), RPC fabric with
-    SurgeGuard's packet metadata, runtime metrics, energy model.
+    SurgeGuard's packet metadata, runtime metrics, energy integrals.
 ``repro.services``
     The evaluated applications (CHAIN + four DeathStarBench actions).
 ``repro.workload``
@@ -36,7 +36,7 @@ Quickstart
 >>> result.violation_volume               # doctest: +SKIP
 """
 
-from repro.sim import PeriodicProcess, RngRegistry, Simulator
+from repro.sim import RngRegistry, Simulator
 from repro.cluster import Cluster, ClusterConfig
 from repro.services import AppSpec, EdgeSpec, ServiceSpec, WorkDist, get_workload
 from repro.workload import OpenLoopClient, RateSchedule, Spike
@@ -81,7 +81,6 @@ __all__ = [
     "OpenLoopClient",
     "OracleController",
     "PartiesController",
-    "PeriodicProcess",
     "RateSchedule",
     "RngRegistry",
     "SensitivityTracker",

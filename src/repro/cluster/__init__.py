@@ -17,8 +17,6 @@ nodes running DeathStarBench under Docker).  It provides:
   metric collection (execTime, timeWaitingForFreeConn, execMetric,
   queueBuildup) that the paper's modified DeathStarBench reports to the
   controllers over shared files.
-* :class:`~repro.cluster.energy.EnergyModel` — integrated core power with
-  idle subtraction, mirroring the paper's ``perf``-based measurement.
 * :class:`~repro.cluster.cluster.Cluster` — assembly, placement, and the
   controller-facing allocation API (with per-node local views preserving
   SurgeGuard's decentralization).
@@ -26,7 +24,6 @@ nodes running DeathStarBench under Docker).  It provides:
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.container import Container
-from repro.cluster.energy import EnergyModel
 from repro.cluster.frequency import DvfsModel
 from repro.cluster.interference import InterferenceInjector, InterferenceWindow
 from repro.cluster.network import Network, NetworkConfig
@@ -43,7 +40,6 @@ __all__ = [
     "ConnectionPool",
     "ContainerRuntime",
     "DvfsModel",
-    "EnergyModel",
     "InterferenceInjector",
     "InterferenceWindow",
     "Network",

@@ -10,8 +10,9 @@ Controllers interact with the cluster in two ways:
 
 * **Global view** (used by the centralized-ish baselines Parties and
   CaladanAlgo, which the paper runs per node but which in practice treat
-  containers independently anyway): :meth:`Cluster.set_cores`,
-  :meth:`Cluster.set_frequency`, :attr:`Cluster.runtimes`.
+  containers independently anyway): :meth:`Cluster.container`,
+  :meth:`Cluster.set_cores`, :meth:`Cluster.set_frequency`,
+  :attr:`Cluster.runtimes`.
 * **Per-node local view** (:class:`NodeView`) — the *only* interface the
   SurgeGuard implementation receives.  A NodeView exposes exactly what a
   per-node daemon could know: the containers placed on that node, their
@@ -19,6 +20,10 @@ Controllers interact with the cluster in two ways:
   derived from static task-graph knowledge shipped in the config file
   (the artifact's ``controllers/sample_config``).  Tests assert that
   SurgeGuard never touches remote containers through it.
+
+Both answer ``container``, ``set_cores`` and ``set_frequency``, the
+calls the counted actuation functions of :mod:`repro.controllers.base`
+make.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.cluster.container import Container
-from repro.cluster.energy import EnergyModel
 from repro.cluster.frequency import DvfsModel
 from repro.cluster.invocation import ServiceInstance
 from repro.cluster.loadbalancer import (
@@ -194,7 +198,6 @@ class Cluster:
         self.app = app
         self.config = config
         self.rng = rng
-        self.energy_model = EnergyModel(config.dvfs)
 
         self.nodes: List[Node] = [
             Node(sim, f"node{i}", config.cores_per_node, config.dvfs)
@@ -421,6 +424,10 @@ class Cluster:
         return reaped
 
     # ------------------------------------------------------------- controller
+    def container(self, name: str) -> Container:
+        """Container lookup, the same call a :class:`NodeView` answers."""
+        return self.containers[name]
+
     def set_cores(self, name: str, cores: float) -> None:
         """Set a container's core allocation (node budget enforced)."""
         self.node_of(name).set_cores(name, cores)
@@ -490,20 +497,3 @@ class Cluster:
         """Flush all containers' lazy accounting up to the current time."""
         for c in self.containers.values():
             c.sync()
-
-    def total_energy(self) -> float:
-        """Idle-subtracted application energy in joules (syncs first)."""
-        self.sync_all()
-        return self.energy_model.total_energy(self.containers.values())
-
-    def average_cores(self, elapsed: float) -> float:
-        """Time-averaged total allocated cores over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            raise ValueError("elapsed must be positive")
-        self.sync_all()
-        return sum(c.alloc_core_seconds for c in self.containers.values()) / elapsed
-
-    @property
-    def total_allocated(self) -> float:
-        """Instantaneous total allocated cores across all nodes."""
-        return sum(n.allocated for n in self.nodes)

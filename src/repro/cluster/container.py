@@ -32,8 +32,9 @@ exact and is kept (the common case for arrivals under ``c ≥ n`` and for
 pure accounting syncs).
 
 Energy bookkeeping (allocated core-seconds, busy core-seconds, and the
-f³-weighted busy integral consumed by :class:`repro.cluster.energy.EnergyModel`)
-is folded into the same step so it costs nothing extra.
+f³-weighted busy integral that
+:func:`repro.experiments.harness.run_experiment` turns into joules) is
+folded into the same step so it costs nothing extra.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""DVFS model: discrete frequency levels, transition cost, and power.
+"""DVFS model: discrete frequency levels, transition cost, and power constants.
 
 The paper's testbed uses the Linux ``userspace`` frequency governor with
 initial core frequencies of 1.6 GHz; FirstResponder's worker thread
@@ -12,14 +12,16 @@ The dynamic-power curve follows the classic CMOS scaling argument
 range, i.e. ``P_dyn ∝ f³``; static power is a flat per-core floor.  The
 absolute constants are calibrated loosely to a Cascade Lake core (a few
 watts per core) — only *relative* energy matters for the reproduction.
+Each container keeps the integrals (allocated core-seconds and the
+``(f/f_max)³``-weighted busy core-seconds), and the experiment harness
+turns their measurement-window deltas into joules with
+``static_w`` and ``dyn_w_at_fmax``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
-
-import numpy as np
 
 __all__ = ["DvfsModel"]
 
@@ -83,14 +85,3 @@ class DvfsModel:
         """All representable frequency levels, ascending."""
         n = int(round((self.f_max - self.f_min) / self.step)) + 1
         return tuple(self.clamp(self.f_min + i * self.step) for i in range(n))
-
-    # ---------------------------------------------------------------- power
-    def dynamic_power(self, f: float) -> float:
-        """Dynamic watts of one fully-busy core at frequency ``f`` (∝ f³)."""
-        return self.dyn_w_at_fmax * float(np.clip(f / self.f_max, 0.0, 1.0)) ** 3
-
-    def core_power(self, f: float, utilization: float) -> float:
-        """Total watts of one allocated core at ``f`` with given utilization."""
-        if not 0.0 <= utilization <= 1.0 + 1e-9:
-            raise ValueError(f"utilization out of range: {utilization!r}")
-        return self.static_w + self.dynamic_power(f) * min(utilization, 1.0)

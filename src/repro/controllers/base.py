@@ -1,23 +1,50 @@
-"""Controller interface and bookkeeping shared by all controllers.
+"""The controller skeleton: lifecycle, decision loops and counted actuation.
 
 A controller's lifecycle is ``attach(sim, cluster, targets)`` →
-``start()`` → (simulation runs; the controller's periodic processes make
-decisions) → ``stop()``.  The harness attaches a fresh controller
-instance per run — controllers are stateful and single-use by design,
-mirroring how the real daemons are launched per experiment.
+``start()`` → (simulation runs; the controller's decision loops fire)
+→ ``stop()``.  The harness attaches a fresh controller instance per
+run — controllers are stateful and single-use by design, mirroring how
+the real daemons are launched per experiment.
+
+A controller declares its periodic decision loops in
+:meth:`Controller.loops`, as ``(interval, unit, method name)`` entries.
+:meth:`Controller.start` runs ``_on_start`` and then schedules each
+loop's first tick one interval out, in declaration order; every tick
+calls the method and then schedules the next one.  :meth:`Controller.stop`
+cancels them.  The fault injector's stall gate shadows exactly the
+declared methods.
+
+Every core or frequency change a controller starts goes through the
+counted functions at the end of this module (:func:`set_cores`,
+:func:`set_frequency`, :func:`step_cores`, :func:`step_frequency`).
+The baselines pass them the :class:`~repro.cluster.cluster.Cluster`;
+SurgeGuard's per-node units pass their
+:class:`~repro.cluster.cluster.NodeView`.  Either answers
+``container(name)``, ``set_cores`` and ``set_frequency``, and each
+action is counted by direction in :class:`ControllerStats`.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Optional
+from math import isfinite
+from typing import List, Optional, Sequence, Tuple
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.cluster.cluster import Cluster
 from repro.controllers.targets import TargetConfig
 
-__all__ = ["Controller", "ControllerStats"]
+__all__ = [
+    "Controller",
+    "ControllerStats",
+    "set_cores",
+    "set_frequency",
+    "step_cores",
+    "step_frequency",
+]
+
+#: One declared decision loop: ``(interval, unit, method name)``.
+Loop = Tuple[float, object, str]
 
 
 @dataclass
@@ -40,8 +67,8 @@ class ControllerStats:
         )
 
 
-class Controller(abc.ABC):
-    """Abstract resource controller."""
+class Controller:
+    """Base resource controller; the null policy as it stands."""
 
     #: Human-readable controller name (used in experiment reports).
     name: str = "abstract"
@@ -53,6 +80,8 @@ class Controller(abc.ABC):
         self.stats = ControllerStats()
         self._attached = False
         self._started = False
+        #: The pending tick of each declared loop; empty once stopped.
+        self._handles: List[EventHandle] = []
 
     def attach(self, sim: Simulator, cluster: Cluster, targets: TargetConfig) -> None:
         """Bind the controller to a deployed cluster (once)."""
@@ -64,71 +93,104 @@ class Controller(abc.ABC):
         self._attached = True
         self._on_attach()
 
+    def loops(self) -> Sequence[Loop]:
+        """The periodic decision loops, as ``(interval, unit, method
+        name)`` entries; read after :meth:`attach`.  Default: none."""
+        return ()
+
     def start(self) -> None:
-        """Begin making decisions (schedules the periodic processes)."""
+        """Run ``_on_start``, then schedule every declared loop (once)."""
         if not self._attached:
             raise RuntimeError(f"{self.name}: start() before attach()")
         if self._started:
             raise RuntimeError(f"{self.name}: start() called twice")
+        loops = self.loops()
+        for interval, _unit, method in loops:
+            if not (isfinite(interval) and interval > 0.0):
+                raise ValueError(
+                    f"{self.name}: {method} interval must be finite and "
+                    f"positive, got {interval!r}"
+                )
         self._started = True
         self._on_start()
+        sim = self.sim
+        self._handles = [
+            sim.schedule(interval, self._tick, i, interval, getattr(unit, method))
+            for i, (interval, unit, method) in enumerate(loops)
+        ]
 
     def stop(self) -> None:
-        """Stop all decision processes; idempotent."""
-        if self._started:
-            self._started = False
-            self._on_stop()
+        """Cancel the decision loops; idempotent."""
+        for handle in self._handles:
+            handle.cancel()
+        self._handles = []
+
+    def _tick(self, i: int, interval: float, decide) -> None:
+        decide()
+        if self._handles:  # ``decide`` may have stopped the controller
+            self._handles[i] = self.sim.schedule(
+                interval, self._tick, i, interval, decide
+            )
 
     # ------------------------------------------------------------ subclasses
     def _on_attach(self) -> None:
-        """Hook: wire node views, hooks, etc.  Default: nothing."""
+        """Hook: wire node views, sub-units, etc.  Default: nothing."""
 
-    @abc.abstractmethod
     def _on_start(self) -> None:
-        """Hook: schedule decision loops."""
+        """Hook: per-run state and hooks, before the loops are scheduled.
+        Default: nothing."""
 
-    def _on_stop(self) -> None:
-        """Hook: cancel decision loops.  Default: nothing."""
 
-    # ------------------------------------------------------------- utilities
-    def _step_cores_up(self, name: str, step: float) -> bool:
-        """Grant ``step`` cores to ``name`` if the node budget allows."""
-        assert self.cluster is not None
-        node = self.cluster.node_of(name)
-        if node.free_cores + 1e-9 < step:
+# ---------------------------------------------------------------- actuation
+def set_cores(target, stats: ControllerStats, name: str, cores: float) -> None:
+    """Set ``name``'s allocation through ``target`` (a ``Cluster`` or a
+    ``NodeView``) and count the action by its direction."""
+    old = target.container(name).cores
+    target.set_cores(name, cores)
+    if cores > old:
+        stats.upscale_core_actions += 1
+    elif cores < old:
+        stats.downscale_core_actions += 1
+
+
+def set_frequency(target, stats: ControllerStats, name: str, frequency: float) -> None:
+    """Set ``name``'s DVFS level through ``target`` and count the action
+    by its direction."""
+    old = target.container(name).frequency
+    target.set_frequency(name, frequency)
+    if frequency > old:
+        stats.freq_up_actions += 1
+    elif frequency < old:
+        stats.freq_down_actions += 1
+
+
+def step_cores(
+    target, stats: ControllerStats, name: str, delta: float, floor: float = 0.0
+) -> bool:
+    """Grant (``delta > 0``) or revoke (``delta < 0``) cores.
+
+    A grant needs ``delta`` free cores on the container's own node; a
+    revoke may not take the allocation below ``floor``.  Returns whether
+    the step was taken.
+    """
+    c = target.container(name)
+    new = c.cores + delta
+    if delta > 0.0:
+        if c.node.free_cores + 1e-9 < delta:
             return False
-        self.cluster.set_cores(name, self.cluster.containers[name].cores + step)
-        self.stats.upscale_core_actions += 1
-        return True
+    elif new < floor - 1e-9:
+        return False
+    set_cores(target, stats, name, new)
+    return True
 
-    def _step_cores_down(self, name: str, step: float, floor: float) -> bool:
-        """Revoke ``step`` cores from ``name`` unless at/below ``floor``."""
-        assert self.cluster is not None
-        current = self.cluster.containers[name].cores
-        if current - step < floor - 1e-9:
-            return False
-        self.cluster.set_cores(name, current - step)
-        self.stats.downscale_core_actions += 1
-        return True
 
-    def _step_freq_up(self, name: str) -> bool:
-        """Raise ``name``'s frequency one DVFS level if not at max."""
-        assert self.cluster is not None
-        c = self.cluster.containers[name]
-        new = c.dvfs.step_up(c.frequency)
-        if new == c.frequency:
-            return False
-        self.cluster.set_frequency(name, new)
-        self.stats.freq_up_actions += 1
-        return True
-
-    def _step_freq_down(self, name: str) -> bool:
-        """Lower ``name``'s frequency one DVFS level if not at min."""
-        assert self.cluster is not None
-        c = self.cluster.containers[name]
-        new = c.dvfs.step_down(c.frequency)
-        if new == c.frequency:
-            return False
-        self.cluster.set_frequency(name, new)
-        self.stats.freq_down_actions += 1
-        return True
+def step_frequency(target, stats: ControllerStats, name: str, up: bool) -> bool:
+    """Move ``name`` one DVFS level up or down; returns ``False`` when it
+    already sits at that end of the range."""
+    c = target.container(name)
+    f = c.frequency
+    new = c.dvfs.step_up(f) if up else c.dvfs.step_down(f)
+    if new == f:
+        return False
+    set_frequency(target, stats, name, new)
+    return True

@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.controllers.base import Controller
-from repro.sim.process import PeriodicProcess
+from repro.controllers.base import Controller, step_cores
 
 __all__ = ["CaladanController", "CaladanParams"]
 
@@ -71,21 +70,18 @@ class CaladanController(Controller):
     def __init__(self, params: Optional[CaladanParams] = None):
         super().__init__()
         self.params = params or CaladanParams()
-        self._proc: Optional[PeriodicProcess] = None
         self._idle_streak: Dict[str, int] = {}
         self._last_busy: Dict[str, float] = {}
 
+    def loops(self):
+        return [(self.params.interval, self, "_decide")]
+
     def _on_start(self) -> None:
-        assert self.sim is not None and self.cluster is not None
+        assert self.cluster is not None
         self._idle_streak = {n: 0 for n in self.cluster.containers}
         self._last_busy = {
             n: c.busy_core_seconds for n, c in self.cluster.containers.items()
         }
-        self._proc = PeriodicProcess(self.sim, self.params.interval, self._decide)
-
-    def _on_stop(self) -> None:
-        if self._proc is not None:
-            self._proc.stop()
 
     def _decide(self) -> None:
         assert self.cluster is not None
@@ -102,13 +98,15 @@ class CaladanController(Controller):
             congested = window.count > 0 and window.queue_buildup > p.congestion_qb
             if congested:
                 self._idle_streak[name] = 0
-                self._step_cores_up(name, p.core_step)
+                step_cores(self.cluster, self.stats, name, p.core_step)
                 continue
             # Yield: a full margin of cores was unused on average.
             if avg_busy < container.cores - p.yield_margin:
                 self._idle_streak[name] += 1
                 if self._idle_streak[name] >= p.yield_patience:
                     self._idle_streak[name] = 0
-                    self._step_cores_down(name, p.core_step, p.min_cores)
+                    step_cores(
+                        self.cluster, self.stats, name, -p.core_step, p.min_cores
+                    )
             else:
                 self._idle_streak[name] = 0

@@ -30,7 +30,6 @@ from repro.cluster.loadbalancer import READY, WARMING
 from repro.controllers.base import Controller
 from repro.core.config import SurgeGuardConfig
 from repro.core.surgeguard import SurgeGuardController
-from repro.sim.process import PeriodicProcess
 
 __all__ = ["HorizontalAutoscaler", "HpaParams", "HybridController"]
 
@@ -73,24 +72,21 @@ class HorizontalAutoscaler(Controller):
     def __init__(self, params: Optional[HpaParams] = None):
         super().__init__()
         self.params = params or HpaParams()
-        self._proc: Optional[PeriodicProcess] = None
         #: Last seen busy-core integral per replica endpoint.
         self._last_busy: Dict[str, float] = {}
         self._low_streak: Dict[str, int] = {}
         self.scale_outs = 0
         self.scale_ins = 0
 
+    def loops(self):
+        return [(self.params.interval, self, "_decide")]
+
     def _on_start(self) -> None:
-        assert self.sim is not None and self.cluster is not None
+        assert self.cluster is not None
         self._last_busy = {
             n: c.busy_core_seconds for n, c in self.cluster.containers.items()
         }
         self._low_streak = {s: 0 for s in self.cluster.replica_sets}
-        self._proc = PeriodicProcess(self.sim, self.params.interval, self._decide)
-
-    def _on_stop(self) -> None:
-        if self._proc is not None:
-            self._proc.stop()
 
     # ------------------------------------------------------------- decision
     def _utilization(self, ready) -> float:
@@ -165,7 +161,9 @@ class HybridController(Controller):
     The autoscaler owns capacity trends (utilization-driven, slow,
     replica-granular); the SurgeGuard units bridge the actuation gap
     (per-packet fast path + metric-window slow path, per replica).  They
-    share nothing but the cluster.
+    share nothing but the cluster and this controller's stats.  The two
+    halves are attached, never started: this controller runs their
+    start hooks and declares their loops, the autoscaler's first.
     """
 
     name = "hpa+surgeguard"
@@ -179,23 +177,28 @@ class HybridController(Controller):
         self.hpa = HorizontalAutoscaler(hpa_params)
         self.surgeguard = SurgeGuardController(sg_config)
 
+    @property
+    def escalators(self):
+        """The SurgeGuard half's per-node Escalators."""
+        return self.surgeguard.escalators
+
+    @property
+    def firstresponders(self):
+        """The SurgeGuard half's per-node FirstResponders."""
+        return self.surgeguard.firstresponders
+
     def _on_attach(self) -> None:
         assert self.sim is not None and self.cluster is not None
         assert self.targets is not None
+        # Both halves count into this controller's stats; the SurgeGuard
+        # units take theirs when they are built, at attach.
+        self.hpa.stats = self.surgeguard.stats = self.stats
         self.hpa.attach(self.sim, self.cluster, self.targets)
         self.surgeguard.attach(self.sim, self.cluster, self.targets)
-        # Aggregate both units' action counts into this controller's stats.
-        self.hpa.stats = self.stats
-        self.surgeguard.stats = self.stats
-        for esc in self.surgeguard.escalators:
-            esc.stats = self.stats
-        for fr in self.surgeguard.firstresponders:
-            fr.stats = self.stats
+
+    def loops(self):
+        return [*self.hpa.loops(), *self.surgeguard.loops()]
 
     def _on_start(self) -> None:
-        self.hpa.start()
-        self.surgeguard.start()
-
-    def _on_stop(self) -> None:
-        self.hpa.stop()
-        self.surgeguard.stop()
+        self.hpa._on_start()
+        self.surgeguard._on_start()

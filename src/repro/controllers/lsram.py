@@ -64,8 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.controllers.base import Controller
-from repro.sim.process import PeriodicProcess
+from repro.controllers.base import Controller, set_cores
 
 __all__ = [
     "LsramController",
@@ -242,7 +241,6 @@ class LsramController(Controller):
     def __init__(self, params: Optional[LsramParams] = None):
         super().__init__()
         self.params = params or LsramParams()
-        self._proc: Optional[PeriodicProcess] = None
         #: Smoothed pressure coefficient a_i per container; absent until
         #: the container's first non-empty window (cold services hold
         #: their current allocation and are charged to the budget as-is).
@@ -253,19 +251,17 @@ class LsramController(Controller):
         #: Last seen busy-core integral per container (usage deltas).
         self._last_busy: Dict[str, float] = {}
 
+    def loops(self):
+        return [(self.params.interval, self, "_decide")]
+
     def _on_start(self) -> None:
-        assert self.sim is not None and self.cluster is not None
+        assert self.cluster is not None
         self._pressure = {}
         self._demand = {}
         self._last_busy = {}
         for name, c in self.cluster.containers.items():
             c.sync()
             self._last_busy[name] = c.busy_core_seconds
-        self._proc = PeriodicProcess(self.sim, self.params.interval, self._decide)
-
-    def _on_stop(self) -> None:
-        if self._proc is not None:
-            self._proc.stop()
 
     # ------------------------------------------------------------- modeling
     def _fold(self, store: Dict[str, float], name: str, observed: float) -> None:
@@ -361,14 +357,10 @@ class LsramController(Controller):
         for name, cores, new in sorted(
             moves, key=lambda m: m[2] - m[1]
         ):  # releases (negative delta) before grants
-            if new < cores:
-                self.cluster.set_cores(name, new)
-                self.stats.downscale_core_actions += 1
-            else:
+            if new > cores:
                 node = self.cluster.node_of(name)
                 if node.free_cores + 1e-9 < new - cores:
                     new = cores + node.free_cores
                     if new - cores < p.quantum - 1e-9:
                         continue
-                self.cluster.set_cores(name, new)
-                self.stats.upscale_core_actions += 1
+            set_cores(self.cluster, self.stats, name, new)

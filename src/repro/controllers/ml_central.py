@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.controllers.base import Controller
+from repro.controllers.base import Controller, step_cores, step_frequency
 from repro.core.config import SurgeGuardConfig
 from repro.core.scoring import score_container
-from repro.sim.process import PeriodicProcess
 
 __all__ = ["CentralizedMLController", "MLParams"]
 
@@ -65,15 +64,9 @@ class CentralizedMLController(Controller):
         self.params = params or MLParams()
         # Reuse SurgeGuard's scoring thresholds for the "learned" model.
         self._score_cfg = SurgeGuardConfig()
-        self._proc: Optional[PeriodicProcess] = None
 
-    def _on_start(self) -> None:
-        assert self.sim is not None
-        self._proc = PeriodicProcess(self.sim, self.params.interval, self._cycle)
-
-    def _on_stop(self) -> None:
-        if self._proc is not None:
-            self._proc.stop()
+    def loops(self):
+        return [(self.params.interval, self, "_cycle")]
 
     # ----------------------------------------------------------- decision
     def _cycle(self) -> None:
@@ -111,8 +104,8 @@ class CentralizedMLController(Controller):
             reverse=True,
         )
         for n in candidates:
-            if not self._step_cores_up(n, p.core_step):
-                self._step_freq_up(n)
+            if not step_cores(self.cluster, self.stats, n, p.core_step):
+                step_frequency(self.cluster, self.stats, n, up=True)
         # Reclaim from clearly-idle containers (generous, Escalator-like).
         for n, w in windows.items():
             if scores[n] == 0 and w.count > 0:
@@ -120,4 +113,4 @@ class CentralizedMLController(Controller):
                 if w.avg_exec_metric < 0.4 * target and w.queue_buildup < 1.05:
                     c = self.cluster.containers[n]
                     if c.frequency > c.dvfs.f_min:
-                        self._step_freq_down(n)
+                        step_frequency(self.cluster, self.stats, n, up=False)

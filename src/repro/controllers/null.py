@@ -16,6 +16,3 @@ class NullController(Controller):
     """Does nothing; allocations stay at their initial values."""
 
     name = "static"
-
-    def _on_start(self) -> None:  # noqa: D102 - nothing to schedule
-        pass

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.controllers.base import Controller
+from repro.controllers.base import Controller, set_cores
 from repro.workload.arrivals import RateSchedule
 
 __all__ = ["OracleController"]
@@ -81,11 +81,7 @@ class OracleController(Controller):
             have = self.cluster.containers[name].cores
             want = min(want, have + node.free_cores)
             if want != have:
-                self.cluster.set_cores(name, want)
-                if want > have:
-                    self.stats.upscale_core_actions += 1
-                else:
-                    self.stats.downscale_core_actions += 1
+                set_cores(self.cluster, self.stats, name, want)
 
     # -------------------------------------------------------------- lifecycle
     def _on_start(self) -> None:

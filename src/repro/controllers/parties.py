@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.controllers.base import Controller
-from repro.sim.process import PeriodicProcess
+from repro.controllers.base import Controller, step_cores, step_frequency
 
 __all__ = ["PartiesController", "PartiesParams"]
 
@@ -73,21 +72,18 @@ class PartiesController(Controller):
     def __init__(self, params: Optional[PartiesParams] = None):
         super().__init__()
         self.params = params or PartiesParams()
-        self._proc: Optional[PeriodicProcess] = None
         self._comfort_streak: Dict[str, int] = {}
         # Downscale verification state: Parties reverts an adjustment
         # that degrades QoS and temporarily blacklists the victim.
         self._pending_downscale: Optional[tuple] = None  # (name, kind)
         self._cooldown: Dict[str, int] = {}
 
-    def _on_start(self) -> None:
-        assert self.sim is not None and self.cluster is not None
-        self._comfort_streak = {n: 0 for n in self.cluster.containers}
-        self._proc = PeriodicProcess(self.sim, self.params.interval, self._decide)
+    def loops(self):
+        return [(self.params.interval, self, "_decide")]
 
-    def _on_stop(self) -> None:
-        if self._proc is not None:
-            self._proc.stop()
+    def _on_start(self) -> None:
+        assert self.cluster is not None
+        self._comfort_streak = {n: 0 for n in self.cluster.containers}
 
     # ------------------------------------------------------------- decisions
     def _slacks(self) -> Dict[str, float]:
@@ -120,9 +116,9 @@ class PartiesController(Controller):
             self._pending_downscale = None
             if slacks[name] < p.violation_slack:
                 if kind == "core":
-                    self._step_cores_up(name, p.core_step)
+                    step_cores(self.cluster, self.stats, name, p.core_step)
                 else:
-                    self._step_freq_up(name)
+                    step_frequency(self.cluster, self.stats, name, up=True)
                 self._cooldown[name] = 10
         for n in list(self._cooldown):
             self._cooldown[n] -= 1
@@ -132,8 +128,8 @@ class PartiesController(Controller):
         worst = min(slacks, key=lambda n: slacks[n])
         if slacks[worst] < p.violation_slack:
             # Upscale the worst container by one unit: core, else frequency.
-            if not self._step_cores_up(worst, p.core_step):
-                self._step_freq_up(worst)
+            if not step_cores(self.cluster, self.stats, worst, p.core_step):
+                step_frequency(self.cluster, self.stats, worst, up=True)
             self._comfort_streak[worst] = 0
 
         # Track per-container comfort for hysteretic downscaling.
@@ -161,8 +157,10 @@ class PartiesController(Controller):
                 ]
                 if candidates:
                     best = max(candidates, key=lambda n: slacks[n])
-                    if self._step_cores_down(best, p.core_step, p.min_cores):
+                    if step_cores(
+                        self.cluster, self.stats, best, -p.core_step, p.min_cores
+                    ):
                         self._pending_downscale = (best, "core")
-                    elif self._step_freq_down(best):
+                    elif step_frequency(self.cluster, self.stats, best, up=False):
                         self._pending_downscale = (best, "freq")
                     self._comfort_streak[best] = 0

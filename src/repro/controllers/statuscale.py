@@ -31,9 +31,9 @@ actually burning its cores attracts a bigger limit.
 Fidelity caveats vs the source paper:
 
 * StatuScale sizes Kubernetes CPU *limits*; here the sizer moves
-  simulated core allocations through the shared
-  :class:`~repro.controllers.base.Controller` actuation helpers (node
-  budget enforced, same units every other baseline uses);
+  simulated core allocations through the counted
+  :func:`~repro.controllers.base.step_cores` every baseline uses (node
+  budget enforced, same units);
 * the paper's Savitzky–Golay trend filter is replaced by the plain
   window slope — the detector's role (suppress downscale + boost
   headroom during fluctuation) is preserved, the smoothing pedigree is
@@ -56,8 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Sequence
 
-from repro.controllers.base import Controller
-from repro.sim.process import PeriodicProcess
+from repro.controllers.base import Controller, step_cores
 
 __all__ = [
     "StatuScaleController",
@@ -238,23 +237,20 @@ class StatuScaleController(Controller):
     def __init__(self, params: Optional[StatuScaleParams] = None):
         super().__init__()
         self.params = params or StatuScaleParams()
-        self._proc: Optional[PeriodicProcess] = None
         self._state: Dict[str, ServiceState] = {}
         #: Last seen busy-core integral per container (usage deltas).
         self._last_busy: Dict[str, float] = {}
 
+    def loops(self):
+        return [(self.params.interval, self, "_decide")]
+
     def _on_start(self) -> None:
-        assert self.sim is not None and self.cluster is not None
+        assert self.cluster is not None
         self._state = {n: ServiceState() for n in self.cluster.containers}
         self._last_busy = {}
         for name, c in self.cluster.containers.items():
             c.sync()
             self._last_busy[name] = c.busy_core_seconds
-        self._proc = PeriodicProcess(self.sim, self.params.interval, self._decide)
-
-    def _on_stop(self) -> None:
-        if self._proc is not None:
-            self._proc.stop()
 
     def _usage(self, name: str) -> float:
         """Mean cores burned by ``name`` since the previous decision.
@@ -291,7 +287,7 @@ class StatuScaleController(Controller):
             elif delta < 0:
                 # Releases actuate immediately so the same cycle's grants
                 # can reuse the freed cores.
-                self._step_cores_down(name, -delta, p.min_cores)
+                step_cores(self.cluster, self.stats, name, delta, p.min_cores)
         # Grants go most-saturated-first (usage/cores): when the node's
         # free cores cannot cover every sized limit, they must reach the
         # container actually burning its allocation — feeding a blocked
@@ -302,5 +298,5 @@ class StatuScaleController(Controller):
             # can instead of rejecting the whole correction.
             steps = int(round(delta / p.core_step))
             for _ in range(steps):
-                if not self._step_cores_up(name, p.core_step):
+                if not step_cores(self.cluster, self.stats, name, p.core_step):
                     break

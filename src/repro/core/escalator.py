@@ -35,9 +35,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
 from repro.cluster.cluster import NodeView
-from repro.controllers.base import ControllerStats
+from repro.controllers.base import ControllerStats, step_cores, step_frequency
 from repro.controllers.targets import TargetConfig
 from repro.core.config import SurgeGuardConfig
 from repro.core.scoring import score_container
@@ -78,7 +77,6 @@ class Escalator:
             step=config.core_step,
             max_cores=view.node.cores,
         )
-        self._proc: Optional[PeriodicProcess] = None
         self._comfort_streak: Dict[str, int] = {
             n: 0 for n in view.container_names
         }
@@ -107,56 +105,6 @@ class Escalator:
         #: for :mod:`repro.validate` metric-sanity monitors.  ``None``
         #: (the default) costs one comparison per decision cycle.
         self.window_hook: Optional[Callable[[str, object], None]] = None
-
-    # -------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        """Begin the decision loop."""
-        if self._proc is not None:
-            raise RuntimeError("Escalator already started")
-        self._proc = PeriodicProcess(
-            self.sim, self.config.escalator_interval, self.decide
-        )
-
-    def stop(self) -> None:
-        """Stop the decision loop; idempotent."""
-        if self._proc is not None:
-            self._proc.stop()
-            self._proc = None
-
-    # --------------------------------------------------------------- actions
-    def _grant_core(self, name: str) -> bool:
-        if self.view.free_cores + 1e-9 < self.config.core_step:
-            return False
-        c = self.view.container(name)
-        self.view.set_cores(name, c.cores + self.config.core_step)
-        self.stats.upscale_core_actions += 1
-        return True
-
-    def _revoke_core(self, name: str) -> bool:
-        c = self.view.container(name)
-        if c.cores - self.config.core_step < self.config.min_cores - 1e-9:
-            return False
-        self.view.set_cores(name, c.cores - self.config.core_step)
-        self.stats.downscale_core_actions += 1
-        return True
-
-    def _freq_up(self, name: str) -> bool:
-        c = self.view.container(name)
-        new = c.dvfs.step_up(c.frequency)
-        if new == c.frequency:
-            return False
-        self.view.set_frequency(name, new)
-        self.stats.freq_up_actions += 1
-        return True
-
-    def _freq_down(self, name: str) -> bool:
-        c = self.view.container(name)
-        new = c.dvfs.step_down(c.frequency)
-        if new == c.frequency:
-            return False
-        self.view.set_frequency(name, new)
-        self.stats.freq_down_actions += 1
-        return True
 
     # -------------------------------------------------------------- decision
     def decide(self) -> None:
@@ -248,7 +196,7 @@ class Escalator:
                     > cfg.exec_th * self.targets.expected_exec_metric[n]
                 )
                 if regretted:
-                    self._grant_core(n)
+                    step_cores(self.view, self.stats, n, cfg.core_step)
                     self._cooldown[n] = self.downscale_cooldown_cycles
         for n in list(self._cooldown):
             self._cooldown[n] -= 1
@@ -281,13 +229,13 @@ class Escalator:
                 continue
             granted = 0.0
             while granted + 1e-9 < cfg.grant_per_cycle:
-                if not self._grant_core(n):
+                if not step_cores(self.view, self.stats, n, cfg.core_step):
                     break
                 granted += cfg.core_step
             if granted == 0.0:
                 # No spare cores on this node: frequency is the lever
                 # that needs no budget.
-                self._freq_up(n)
+                step_frequency(self.view, self.stats, n, up=True)
 
         # 4a. Parties-style downscale of score-0 containers (hysteretic).
         # Frequency is per-container (no shared budget), so every
@@ -309,14 +257,16 @@ class Escalator:
             )
             if is_comfort:
                 self._comfort_streak[n] = self._comfort_streak.get(n, 0) + 1
-                self._freq_down(n)
+                step_frequency(self.view, self.stats, n, up=False)
                 if self._comfort_streak[n] >= cfg.downscale_patience:
                     core_candidates.append(n)
             else:
                 self._comfort_streak[n] = 0
         if core_candidates:
             pick = max(core_candidates, key=lambda n: self._comfort_streak[n])
-            if self._revoke_core(pick):
+            if step_cores(
+                self.view, self.stats, pick, -cfg.core_step, cfg.min_cores
+            ):
                 self._pending_downscale = pick
             self._comfort_streak[pick] = 0
 
@@ -328,4 +278,6 @@ class Escalator:
                 if self.sensitivity.should_revoke(
                     n, c.cores, cfg.sens_revoke_th
                 ):
-                    self._revoke_core(n)
+                    step_cores(
+                        self.view, self.stats, n, -cfg.core_step, cfg.min_cores
+                    )

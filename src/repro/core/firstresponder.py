@@ -30,7 +30,7 @@ from typing import Dict, Optional
 from repro.sim.engine import Simulator
 from repro.cluster.cluster import NodeView
 from repro.cluster.packet import REQUEST, RpcPacket
-from repro.controllers.base import ControllerStats
+from repro.controllers.base import ControllerStats, set_frequency
 from repro.controllers.targets import TargetConfig
 from repro.core.config import SurgeGuardConfig
 
@@ -126,8 +126,6 @@ class FirstResponder:
             if name not in local:
                 continue  # replica reaped between enqueue and MSR write
             self.last_boost_time[name] = now
-            c = self.view.container(name)
-            if c.frequency < f_max:
-                self.view.set_frequency(name, f_max)
-                self.stats.freq_up_actions += 1
+            if self.view.container(name).frequency < f_max:
+                set_frequency(self.view, self.stats, name, f_max)
         self.boosts_applied += 1

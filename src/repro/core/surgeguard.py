@@ -53,15 +53,14 @@ class SurgeGuardController(Controller):
                 )
                 self.firstresponders.append(fr)
 
+    def loops(self):
+        return [
+            (esc.config.escalator_interval, esc, "decide") for esc in self.escalators
+        ]
+
     def _on_start(self) -> None:
         for fr in self.firstresponders:
             fr.install()
-        for esc in self.escalators:
-            esc.start()
-
-    def _on_stop(self) -> None:
-        for esc in self.escalators:
-            esc.stop()
 
     # ------------------------------------------------------------ diagnostics
     @property

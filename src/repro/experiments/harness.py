@@ -400,10 +400,10 @@ def run_experiment(
     # shared) profiled TargetConfig is never mutated.
     controller.attach(sim, cluster, targets.with_replica_fallback())
 
-    # Arm faults after attach (escalators exist for the restart hook)
-    # and before monitors (so conservation checks see the RPC layer) and
-    # before controller.start (stall gates must precede the decision
-    # loops' method binding in PeriodicProcess).
+    # Arm faults after attach (escalators exist for the restart hook and
+    # the declared loops are known) and before monitors (so conservation
+    # checks see the RPC layer) and before controller.start (stall gates
+    # shadow the loop methods that start() binds).
     injector = None
     if cfg.faults is not None and not cfg.faults.empty:
         injector = FaultInjector(cfg.faults)
@@ -441,6 +441,10 @@ def run_experiment(
     t_m, lat_m = t[mask], lat[mask]
     summary = summarize(t_m, lat_m, targets.qos_target)
 
+    # Idle-subtracted energy (paper §V: ``perf`` minus idle), the one
+    # energy formula: ``static_w`` per allocated core-second plus
+    # ``dyn_w_at_fmax`` per (f/f_max)³-weighted busy core-second.
+    # Unallocated cores cost nothing; that is the idle subtraction.
     dvfs = cluster.config.dvfs
     window = (t_end + cfg.drain) - t_measure
     alloc_cs = 0.0

@@ -18,11 +18,12 @@ Wiring per fault type:
   flushes pools and compute, drops arriving packets), the restart calls
   :meth:`ServiceInstance.restart` and resets the learned per-container
   controller state (sensitivity rows) for the dead process.
-* **Controller stalls** — the per-node Escalator ``decide`` methods (or
-  the centralized baselines' ``_decide``) are shadowed with a gate that
-  no-ops inside stall windows.  Must be armed *before*
-  ``controller.start()``: the periodic processes capture the bound
-  method at start time.
+* **Controller stalls** — every decision loop the controller declares
+  (:meth:`~repro.controllers.base.Controller.loops`: each per-node
+  Escalator's ``decide``, a baseline's periodic decision) is shadowed
+  with a gate that no-ops inside stall windows.  Must be armed *before*
+  ``controller.start()``: the loops capture the bound method at start
+  time.
 * **RPC resilience** — one shared :class:`~repro.faults.rpc.RpcCaller`
   is installed on the cluster (ingress) and every service instance
   (child calls).
@@ -181,16 +182,10 @@ class FaultInjector:
     def _install_stall_gates(self) -> None:
         windows = sorted(self.plan.stalls, key=lambda w: w.start)
 
-        targets: List[Tuple[object, str]] = []
-        escalators = getattr(self.controller, "escalators", None)
-        if escalators:
-            targets.extend((esc, "decide") for esc in escalators)
-        elif hasattr(self.controller, "_decide"):
-            targets.append((self.controller, "_decide"))
-        # Controllers with neither (null) have no decision loop to stall.
-
+        # A controller without loops (null, oracle) has nothing to stall.
+        loops = self.controller.loops() if self.controller is not None else ()
         sim = self.sim
-        for obj, attr in targets:
+        for _interval, obj, attr in loops:
             original = getattr(obj, attr)
 
             def gated(original=original) -> None:

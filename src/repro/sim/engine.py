@@ -15,9 +15,9 @@ Design notes
   cheap.
 * Handlers are plain callables ``fn(*args)``.  Coroutine-style processes are
   intentionally avoided in the hot path (per the profiling-first HPC guide:
-  the event loop is the bottleneck, so it stays minimal); the convenience
-  wrapper :class:`repro.sim.process.PeriodicProcess` covers the common
-  "controller decision cycle" pattern.
+  the event loop is the bottleneck, so it stays minimal); a controller's
+  periodic decision loops are scheduled by
+  :class:`repro.controllers.base.Controller`.
 * Handles are *recycled*: after an event fires (or a lazily-cancelled entry
   is dropped, on pop or by compaction) the handle goes back on a free list
   and the next

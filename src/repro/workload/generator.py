@@ -16,6 +16,7 @@ generation adds exactly one heap entry per in-flight client.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -24,7 +25,6 @@ import numpy as np
 from repro.sim.engine import Simulator
 from repro.cluster.cluster import Cluster
 from repro.cluster.packet import RpcPacket
-from repro.metrics.buffers import FloatBuffer
 from repro.workload.arrivals import RateSchedule
 
 __all__ = ["PACINGS", "ClientStats", "OpenLoopClient"]
@@ -37,17 +37,17 @@ PACINGS = ("uniform", "poisson")
 class ClientStats:
     """Per-request outcome log of one client run.
 
-    The per-request columns are :class:`~repro.metrics.buffers.FloatBuffer`
-    (geometrically-grown ``float64``, not boxed-float lists), so the
-    metrics layer scans them without an ``np.asarray`` conversion pass.
+    The per-request columns are stdlib ``array('d')`` (unboxed
+    ``float64``, not lists of float objects); a Python float stored in a
+    ``'d'`` slot is exact, so they hold simulation timestamps bit for bit.
     """
 
     #: Arrival (injection) timestamps, seconds.
-    arrival_times: FloatBuffer = field(default_factory=FloatBuffer)
+    arrival_times: array = field(default_factory=lambda: array("d"))
     #: End-to-end latencies; ``nan`` while a request is outstanding and
     #: for requests that completed as errors (their wall time measures
     #: timeout policy, not service latency).
-    latencies: FloatBuffer = field(default_factory=FloatBuffer)
+    latencies: array = field(default_factory=lambda: array("d"))
     sent: int = 0
     completed: int = 0
     #: Requests that completed as an *error* (RPC retry exhaustion under
@@ -55,9 +55,14 @@ class ClientStats:
     errored: int = 0
 
     def completed_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(arrival_times, latencies) of completed requests, time-ordered."""
-        t = self.arrival_times.view()
-        lat = self.latencies.view()
+        """(arrival_times, latencies) of completed requests, time-ordered.
+
+        Both results are copies: the zero-copy ``np.frombuffer`` views die
+        with this call, because an array with a live export cannot grow
+        (its next append would raise ``BufferError``).
+        """
+        t = np.frombuffer(self.arrival_times)
+        lat = np.frombuffer(self.latencies)
         mask = ~np.isnan(lat)
         return t[mask], lat[mask]
 

@@ -53,18 +53,6 @@ class TestControllerApi:
         sim.run()
         assert (1.0, "s0", 3.0) in cluster.alloc_events
 
-    def test_average_cores_of_static_cluster(self, sim, make_cluster, small_app):
-        cluster = make_cluster(small_app)
-        sim.schedule(4.0, lambda: None)
-        sim.run()
-        total_init = sum(s.initial_cores for s in small_app.services)
-        assert cluster.average_cores(4.0) == pytest.approx(total_init)
-
-    def test_total_allocated(self, small_cluster, small_app):
-        assert small_cluster.total_allocated == pytest.approx(
-            sum(s.initial_cores for s in small_app.services)
-        )
-
 
 class TestNodeView:
     def test_view_lists_only_local_containers(self, make_cluster):

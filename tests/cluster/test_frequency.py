@@ -34,23 +34,3 @@ class TestLevels:
         with pytest.raises(ValueError):
             DvfsModel(step=0.0)
 
-
-class TestPower:
-    def test_dynamic_power_cubic(self, dvfs):
-        half = dvfs.dynamic_power(dvfs.f_max / 2)
-        full = dvfs.dynamic_power(dvfs.f_max)
-        assert half == pytest.approx(full / 8)
-
-    def test_core_power_includes_static(self, dvfs):
-        idle = dvfs.core_power(dvfs.f_max, 0.0)
-        busy = dvfs.core_power(dvfs.f_max, 1.0)
-        assert idle == pytest.approx(dvfs.static_w)
-        assert busy == pytest.approx(dvfs.static_w + dvfs.dyn_w_at_fmax)
-
-    def test_power_monotone_in_frequency(self, dvfs):
-        powers = [dvfs.core_power(f, 1.0) for f in dvfs.levels]
-        assert all(a < b for a, b in zip(powers, powers[1:]))
-
-    def test_invalid_utilization_rejected(self, dvfs):
-        with pytest.raises(ValueError):
-            dvfs.core_power(dvfs.f_min, 1.5)

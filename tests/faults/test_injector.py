@@ -9,6 +9,8 @@ import dataclasses
 
 import pytest
 
+from repro.exec.specs import available_specs, spec
+from repro.experiments.harness import ExperimentConfig, profile_targets, run_experiment
 from repro.faults import (
     ContainerCrash,
     ControllerStall,
@@ -21,6 +23,29 @@ from repro.sim.rng import RngRegistry
 from tests.conftest import drive_cluster, make_chain_app
 
 RPC = RpcPolicy(timeout=20e-3, max_retries=1, backoff_base=2e-3)
+
+#: Every registered spec that declares a decision loop: all but null
+#: (``tests/controllers/test_base.py`` pins which specs declare loops).
+LOOPED_SPECS = [name for name in available_specs() if name != "null"]
+
+
+def chain_cell(name, plan):
+    """A short CHAIN cell under ``plan``: measurement [1, 3) s, drained
+    to 3.5 s."""
+    return ExperimentConfig(
+        workload="chain",
+        controller_factory=spec(name),
+        warmup=1.0,
+        duration=2.0,
+        drain=0.5,
+        profile_duration=1.0,
+        faults=plan,
+    )
+
+
+@pytest.fixture(scope="module")
+def chain_targets():
+    return profile_targets(chain_cell("null", None))
 
 
 class _RecordingEscalator:
@@ -39,10 +64,13 @@ class _RecordingEscalator:
 
 
 class _CentralController:
-    """Baseline shape: one centralized ``_decide``, no escalators."""
+    """Baseline shape: one centralized decision loop, no escalators."""
 
     def __init__(self):
         self.decided = 0
+
+    def loops(self):
+        return [(0.4, self, "_decide")]
 
     def _decide(self):
         self.decided += 1
@@ -160,6 +188,24 @@ class TestCrash:
         stats = inj.fault_stats()
         assert stats["crashes"] == 1 and stats["inflight_failed"] > 0
 
+    def test_hybrid_restart_forgets_sensitivity(self, chain_targets, monkeypatch):
+        """The crash-restart hook reaches the hybrid's SurgeGuard half:
+        the restarted container's learned sensitivity rows are dropped."""
+        from repro.core.sensitivity import SensitivityTracker
+
+        forgotten = []
+        original = SensitivityTracker.forget
+
+        def forget(tracker, name):
+            forgotten.append(name)
+            original(tracker, name)
+
+        monkeypatch.setattr(SensitivityTracker, "forget", forget)
+        plan = FaultPlan(crashes=(ContainerCrash("chain3", 1.4, 0.3),), rpc=RPC)
+        res = run_experiment(chain_cell("hybrid", plan), chain_targets)
+        assert res.fault_stats["crashes"] == 1
+        assert forgotten == ["chain3"]
+
     def test_restart_without_crash_rejected(self, small_cluster):
         with pytest.raises(RuntimeError, match="restart without crash"):
             small_cluster.instances["s0"].restart()
@@ -172,9 +218,12 @@ class TestStalls:
         class _Ctl:
             escalators = escs
 
+            def loops(self):
+                return [(0.5, esc, "decide") for esc in escs]
+
         inj = FaultInjector(FaultPlan(stalls=(ControllerStall(1.0, 2.0),)))
         inj.arm(sim, small_cluster, controller=_Ctl())
-        # Mimic PeriodicProcess: capture the (gated) bound method now.
+        # Mimic Controller.start: capture the (gated) bound method now.
         for t in (0.5, 1.5, 2.5):
             for esc in escs:
                 sim.schedule_at(t, esc.decide)
@@ -194,6 +243,15 @@ class TestStalls:
         assert ctl.decided == 2 and inj.stalled_cycles == 1
         inj.disarm()
         assert "_decide" not in ctl.__dict__
+
+    @pytest.mark.parametrize("name", LOOPED_SPECS)
+    def test_every_declared_loop_is_gated(self, chain_targets, name):
+        """A stall across the measurement suppresses cycles of every
+        controller with a decision loop, ``hybrid`` and ``ml-central``
+        included."""
+        plan = FaultPlan(stalls=(ControllerStall(1.0, 2.5),))
+        res = run_experiment(chain_cell(name, plan), chain_targets)
+        assert res.fault_stats["stalled_cycles"] > 0
 
     def test_null_controller_stall_is_noop(self, sim, small_cluster):
         inj = FaultInjector(FaultPlan(stalls=(ControllerStall(0.0, 1.0),)))

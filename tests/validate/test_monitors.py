@@ -77,6 +77,21 @@ class TestHealthyRunsAreClean:
         )
         assert esc.checks > 0
 
+    def test_hybrid_run_checks_its_escalators(self, sim, make_cluster, small_app):
+        """The hybrid exposes its SurgeGuard half, so the Escalator
+        sanity checks run on it too."""
+        cluster = make_cluster(small_app)
+        controller = spec("hybrid")()
+        controller.attach(sim, cluster, surgeguard_targets(small_app))
+        esc = EscalatorSanityMonitor()
+        monitors = MonitorSet([esc, FrequencyBoundsMonitor()])
+        monitors.arm(sim, cluster, controller=controller)
+        drive_cluster(sim, cluster, controller=controller)
+        controller.stop()
+        monitors.finalize()
+        assert monitors.ok, [str(v) for v in monitors.all_violations]
+        assert esc.checks > 0
+
     def test_disarm_restores_cluster_methods(self, sim, small_cluster):
         monitors = MonitorSet()
         monitors.arm(sim, small_cluster)
