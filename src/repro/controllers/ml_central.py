@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 from repro.controllers.base import Controller, step_cores, step_frequency
 from repro.core.config import SurgeGuardConfig
 from repro.core.scoring import score_container
+from repro.sim.engine import EventHandle
 
 __all__ = ["CentralizedMLController", "MLParams"]
 
@@ -64,20 +65,33 @@ class CentralizedMLController(Controller):
         self.params = params or MLParams()
         # Reuse SurgeGuard's scoring thresholds for the "learned" model.
         self._score_cfg = SurgeGuardConfig()
+        #: The collect/apply steps of rounds still in flight, so that
+        #: :meth:`stop` cancels them with the loop.
+        self._steps: List[EventHandle] = []
 
     def loops(self):
         return [(self.params.interval, self, "_cycle")]
 
+    def stop(self) -> None:
+        super().stop()
+        for handle in self._steps:
+            handle.cancel()
+        self._steps = []
+
+    def _schedule_step(self, delay: float, fn, *args) -> None:
+        assert self.sim is not None
+        self._steps = [h for h in self._steps if h.active]
+        self._steps.append(self.sim.schedule(delay, fn, *args))
+
     # ----------------------------------------------------------- decision
     def _cycle(self) -> None:
         """Kick off one collect → infer → apply round."""
-        assert self.sim is not None
-        self.sim.schedule(self.params.collection_delay, self._collect)
+        self._schedule_step(self.params.collection_delay, self._collect)
 
     def _collect(self) -> None:
-        assert self.cluster is not None and self.sim is not None
+        assert self.cluster is not None
         windows = {n: rt.collect() for n, rt in self.cluster.runtimes.items()}
-        self.sim.schedule(self.params.inference_delay, self._apply, windows)
+        self._schedule_step(self.params.inference_delay, self._apply, windows)
 
     def _apply(self, windows) -> None:
         assert self.cluster is not None and self.targets is not None

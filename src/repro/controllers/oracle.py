@@ -12,9 +12,10 @@ violation volume and to the extra cores needed to drain the queue.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional
 
 from repro.controllers.base import Controller, set_cores
+from repro.sim.engine import EventHandle
 from repro.workload.arrivals import RateSchedule
 
 __all__ = ["OracleController"]
@@ -59,6 +60,8 @@ class OracleController(Controller):
         self.headroom = headroom
         self.target_util = target_util
         self.granularity = granularity
+        #: The scheduled reactions, so that :meth:`stop` cancels them.
+        self._reactions: List[EventHandle] = []
 
     # ---------------------------------------------------------------- sizing
     def _cores_for_rate(self, service: str, rate: float) -> float:
@@ -89,8 +92,18 @@ class OracleController(Controller):
         # React to every rate boundary, delayed by the detection latency.
         for spike in self.schedule.spikes:
             delay_on = max(spike.start - self.sim.now, 0.0) + self.detection_delay
-            self.sim.schedule(delay_on, self._apply_rate, spike.rate, self.headroom)
             delay_off = max(spike.end - self.sim.now, 0.0) + self.detection_delay
-            self.sim.schedule(
-                delay_off, self._apply_rate, self.schedule.base_rate, 1.0
-            )
+            self._reactions += [
+                self.sim.schedule(
+                    delay_on, self._apply_rate, spike.rate, self.headroom
+                ),
+                self.sim.schedule(
+                    delay_off, self._apply_rate, self.schedule.base_rate, 1.0
+                ),
+            ]
+
+    def stop(self) -> None:
+        super().stop()
+        for handle in self._reactions:
+            handle.cancel()
+        self._reactions = []

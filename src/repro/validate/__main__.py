@@ -2,7 +2,8 @@
 
 Runs the differential scenario matrix with all invariant monitors armed
 and compares fingerprints against the committed goldens.  Exit status 0
-only when every invariant holds and every fingerprint matches.
+only when every invariant holds and every fingerprint matches; 2 when
+the filters select no cell.
 """
 
 from __future__ import annotations
@@ -13,27 +14,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.validate.runner import run_matrix
-from repro.validate.scenarios import (
-    CONTROLLERS,
-    FAULT_CONTROLLERS,
-    FAULT_SCENARIOS,
-    HORIZONTAL_CONTROLLERS,
-    HORIZONTAL_SCENARIOS,
-    MULTINODE_CONTROLLERS,
-    MULTINODE_SCENARIOS,
-    SCENARIOS,
-    WORKLOADS,
-    ZOO_CONTROLLERS,
-    ZOO_SCENARIOS,
-    fault_matrix,
-    horizontal_matrix,
-    multinode_matrix,
-    scenario_matrix,
-    zoo_matrix,
-)
-
-#: Cell-family names accepted by ``--family`` (in matrix order).
-FAMILIES = ("base", "faults", "horizontal", "zoo", "multinode")
+from repro.validate.scenarios import FAMILIES, matrix, names
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
@@ -45,29 +26,19 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--workload", action="append", choices=sorted(WORKLOADS),
+        "--workload", action="append", choices=names("workloads"),
         help="restrict to a workload family (repeatable)",
     )
     parser.add_argument(
-        "--controller", action="append",
-        choices=CONTROLLERS + HORIZONTAL_CONTROLLERS + ZOO_CONTROLLERS,
+        "--controller", action="append", choices=names("controllers"),
         help="restrict to a controller (repeatable)",
     )
     parser.add_argument(
-        "--scenario", action="append",
-        choices=tuple(
-            dict.fromkeys(
-                SCENARIOS
-                + FAULT_SCENARIOS
-                + HORIZONTAL_SCENARIOS
-                + ZOO_SCENARIOS
-                + MULTINODE_SCENARIOS
-            )
-        ),
+        "--scenario", action="append", choices=names("scenarios"),
         help="restrict to a traffic shape or fault scenario (repeatable)",
     )
     parser.add_argument(
-        "--family", action="append", choices=FAMILIES,
+        "--family", action="append", choices=list(FAMILIES),
         help="restrict to a cell family (repeatable)",
     )
     parser.add_argument(
@@ -83,52 +54,19 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     )
     args = parser.parse_args(list(argv) if argv is not None else None)
 
-    # The families share the filter flags: each family keeps the
-    # controller / scenario names it recognises (a fault-only filter
-    # yields no base cells and vice versa), and fault cells exist only
-    # for the chain workload and its controller subset.
-    base_shapes = fault_shapes = hpa_shapes = zoo_shapes = multi_shapes = None
-    if args.scenario is not None:
-        base_shapes = [s for s in args.scenario if s in SCENARIOS]
-        fault_shapes = [s for s in args.scenario if s in FAULT_SCENARIOS]
-        hpa_shapes = [s for s in args.scenario if s in HORIZONTAL_SCENARIOS]
-        zoo_shapes = [s for s in args.scenario if s in ZOO_SCENARIOS]
-        multi_shapes = [s for s in args.scenario if s in MULTINODE_SCENARIOS]
-    base_ctrls = fault_ctrls = hpa_ctrls = zoo_ctrls = multi_ctrls = None
-    if args.controller is not None:
-        base_ctrls = [c for c in args.controller if c in CONTROLLERS]
-        fault_ctrls = [c for c in args.controller if c in FAULT_CONTROLLERS]
-        hpa_ctrls = [c for c in args.controller if c in HORIZONTAL_CONTROLLERS]
-        zoo_ctrls = [c for c in args.controller if c in ZOO_CONTROLLERS]
-        multi_ctrls = [c for c in args.controller if c in MULTINODE_CONTROLLERS]
-    families = FAMILIES if args.family is None else tuple(args.family)
-    cells = []
-    if "base" in families:
-        cells += scenario_matrix(
-            workloads=args.workload,
-            controllers=base_ctrls,
-            scenarios=base_shapes,
-        )
-    if "faults" in families and (args.workload is None or "chain" in args.workload):
-        cells += fault_matrix(controllers=fault_ctrls, scenarios=fault_shapes)
-    if "horizontal" in families:
-        cells += horizontal_matrix(
-            workloads=args.workload,
-            controllers=hpa_ctrls,
-            scenarios=hpa_shapes,
-        )
-    if "zoo" in families:
-        cells += zoo_matrix(
-            workloads=args.workload,
-            controllers=zoo_ctrls,
-            scenarios=zoo_shapes,
-        )
-    if "multinode" in families:
-        cells += multinode_matrix(
-            workloads=args.workload,
-            controllers=multi_ctrls,
-            scenarios=multi_shapes,
-        )
+    cells = matrix(
+        families=args.family,
+        workloads=args.workload,
+        controllers=args.controller,
+        scenarios=args.scenario,
+    )
+    if not cells:
+        chosen = [
+            f"--{flag} {name}"
+            for flag in ("family", "workload", "controller", "scenario")
+            for name in getattr(args, flag) or ()
+        ]
+        parser.error(f"no matrix cell matches {' '.join(chosen)}")
     if args.list:
         for cell in cells:
             print(cell.key)

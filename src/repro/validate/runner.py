@@ -18,14 +18,7 @@ from typing import Dict, List, Optional
 from repro.experiments.harness import clear_profile_cache, run_experiment
 from repro.validate.fingerprint import fingerprint_diff, scenario_fingerprint
 from repro.validate.monitors import MonitorSet
-from repro.validate.scenarios import (
-    Scenario,
-    fault_matrix,
-    horizontal_matrix,
-    multinode_matrix,
-    scenario_matrix,
-    zoo_matrix,
-)
+from repro.validate.scenarios import Scenario, matrix
 
 __all__ = ["CellOutcome", "MatrixReport", "golden_path", "run_matrix"]
 
@@ -124,13 +117,7 @@ def run_matrix(
     rewritten — a filtered run updates a filtered set).
     """
     if cells is None:
-        cells = (
-            scenario_matrix()
-            + fault_matrix()
-            + horizontal_matrix()
-            + zoo_matrix()
-            + multinode_matrix()
-        )
+        cells = matrix()
     goldens = load_goldens(golden_file)
     report = MatrixReport()
     # Profiling is memoized per workload — clear once up front so the

@@ -1,6 +1,7 @@
 """The controller skeleton (:mod:`repro.controllers.base`): the declared
-decision loops' lifecycle, over every registered spec, and the counted
-actuation functions every policy moves cores and frequencies through."""
+decision loops' lifecycle, over every registered spec and the oracle,
+and the counted actuation functions every policy moves cores and
+frequencies through."""
 
 import math
 
@@ -14,8 +15,10 @@ from repro.controllers.base import (
     step_cores,
     step_frequency,
 )
+from repro.controllers.oracle import OracleController
 from repro.controllers.targets import TargetConfig
 from repro.exec.specs import available_specs, spec
+from repro.workload.arrivals import RateSchedule, Spike
 from tests.conftest import make_chain_app
 
 
@@ -44,6 +47,16 @@ def _count_loop_calls(ctrl):
         setattr(unit, method, recorded)
         calls.append((interval, times))
     return calls
+
+
+def _stop_and_run_on(sim, ctrl, until):
+    """Stop ``ctrl``, check that nothing it scheduled is still live, and
+    that no decision or action lands over the run-on to ``until``."""
+    ctrl.stop()
+    assert sim.live_events_pending == 0
+    counts = (ctrl.stats.decision_cycles, ctrl.stats.total_actions)
+    sim.run(until=until)
+    assert (ctrl.stats.decision_cycles, ctrl.stats.total_actions) == counts
 
 
 class _Ticker(Controller):
@@ -77,7 +90,9 @@ def ticker(sim, small_cluster, small_app):
 
 
 class TestLoopLifecycle:
-    """Every spec, on a small two-node cluster without traffic."""
+    """Every spec and the oracle, on a small two-node cluster without
+    traffic: ``stop()`` cancels everything the controller scheduled,
+    declared loops and in-flight steps alike, so no event stays live."""
 
     HORIZON = 4.005  # no loop interval divides it
 
@@ -100,12 +115,22 @@ class TestLoopLifecycle:
                 [interval * (k + 1) for k in range(len(times))]
             )
         before = [len(times) for _, times in calls]
-        ctrl.stop()
         longest = max((interval for interval, _ in calls), default=1.0)
-        sim.run(until=self.HORIZON + 5 * longest)
+        _stop_and_run_on(sim, ctrl, self.HORIZON + 5 * longest)
         assert [len(times) for _, times in calls] == before
         with pytest.raises(RuntimeError, match="twice"):
             ctrl.start()
+
+    def test_oracle_reactions_cancelled(self, sim, make_cluster):
+        """Stopped before its scheduled reactions to a 2–4 s spike."""
+        app = make_chain_app(3)
+        cluster = make_cluster(app, n_nodes=2, cores_per_node=12.0)
+        schedule = RateSchedule(100.0, [Spike(2.0, 4.0, 300.0)])
+        ctrl = OracleController(schedule, detection_delay=0.5)
+        ctrl.attach(sim, cluster, _targets(app))
+        ctrl.start()
+        sim.run(until=1.0)
+        _stop_and_run_on(sim, ctrl, 10.0)
 
 
 class TestDecisionLoops:

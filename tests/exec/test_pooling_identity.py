@@ -20,7 +20,7 @@ from repro.analysis.aggregate import run_cell
 from repro.experiments.harness import clear_profile_cache
 from repro.validate.fingerprint import fingerprint_diff
 from repro.validate.runner import load_goldens, run_cell_validated
-from repro.validate.scenarios import fault_matrix
+from repro.validate.scenarios import matrix
 from tests.exec.test_packet_fastlane import GOLDEN, _cell_config
 
 
@@ -60,7 +60,7 @@ class TestFaultCellFingerprintModeIndependent:
     """crash-during-surge: the cell where packets die mid-flight."""
 
     def _outcome(self):
-        (cell,) = fault_matrix(
+        (cell,) = matrix(
             controllers=["surgeguard"], scenarios=["crash-during-surge"]
         )
         clear_profile_cache()

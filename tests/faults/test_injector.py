@@ -267,11 +267,11 @@ class TestFaultFreeIdentity:
         from repro.experiments.harness import run_experiment
         from repro.validate.fingerprint import scenario_fingerprint
         from repro.validate.runner import load_goldens
-        from repro.validate.scenarios import scenario_matrix
+        from repro.validate.scenarios import matrix
 
-        cell = scenario_matrix(
+        (cell,) = matrix(
             workloads=["chain"], controllers=["null"], scenarios=["steady"]
-        )[0]
+        )
         captured = {}
 
         def probe(sim, cluster):

@@ -5,7 +5,7 @@ import json
 from repro.validate.fingerprint import fingerprint_diff, scenario_fingerprint
 from repro.validate.monitors import MonitorSet
 from repro.validate.runner import run_cell_validated
-from repro.validate.scenarios import scenario_matrix
+from repro.validate.scenarios import matrix
 
 
 def small_fp():
@@ -51,9 +51,9 @@ class TestFingerprintDiff:
 
 class TestScenarioFingerprint:
     def test_fingerprint_fields_and_json_round_trip(self):
-        cell = scenario_matrix(
+        (cell,) = matrix(
             workloads=["chain"], controllers=["surgeguard"], scenarios=["steady"]
-        )[0]
+        )
         outcome = run_cell_validated(cell)
         fp = outcome.fingerprint
         expected_keys = {
@@ -74,9 +74,9 @@ class TestScenarioFingerprint:
         assert fingerprint_diff(fp, again.fingerprint) == []
 
     def test_run_cell_validated_arms_monitors(self):
-        cell = scenario_matrix(
+        (cell,) = matrix(
             workloads=["chain"], controllers=["null"], scenarios=["steady"]
-        )[0]
+        )
         outcome = run_cell_validated(cell)
         assert outcome.checks > 0
         assert outcome.violations == []

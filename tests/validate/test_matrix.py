@@ -14,63 +14,175 @@ from repro.validate.runner import (
     load_goldens,
     run_matrix,
 )
-from repro.validate.scenarios import (
-    CONTROLLERS,
-    FAULT_CONTROLLERS,
-    FAULT_SCENARIOS,
-    HORIZONTAL_CONTROLLERS,
-    HORIZONTAL_SCENARIOS,
-    MULTINODE_CONTROLLERS,
-    MULTINODE_SCENARIOS,
-    SCENARIOS,
-    WORKLOADS,
-    ZOO_CONTROLLERS,
-    ZOO_SCENARIOS,
-    fault_matrix,
-    horizontal_matrix,
-    multinode_matrix,
-    scenario_matrix,
-    zoo_matrix,
-)
+from repro.validate.scenarios import FAMILIES, WORKLOADS, matrix
+
+#: Cells per family: the product of its workload, controller and
+#: scenario lists.
+_FAMILY_SIZES = dict(base=36, faults=9, horizontal=6, zoo=18, multinode=12)
+
+
+def _base_shape(cell):
+    assert cell.config.faults is None, cell.key
+
+
+def _fault_shape(cell):
+    assert cell.workload_family == "chain", cell.key
+
+
+def _horizontal_shape(cell):
+    cfg = cell.config
+    assert cfg.replicas == 1, cell.key
+    assert cfg.replica_capacity > 1
+    assert cfg.lb_policy == "round_robin"
+    assert cfg.faults is None
+    assert cfg.spike_magnitude is not None  # surge-shaped traffic
+
+
+def _zoo_shape(cell):
+    cfg = cell.config
+    assert cfg.faults is None, cell.key
+    if cell.scenario == "steady":
+        assert cfg.spike_magnitude is None, cell.key
+    else:
+        assert cfg.spike_magnitude is not None, cell.key
+    if cell.scenario == "replica-surge":
+        assert cfg.replicas == 2, cell.key
+        assert cfg.lb_policy == "round_robin", cell.key
+    else:
+        assert cfg.replicas == 1, cell.key
+
+
+def _multinode_shape(cell):
+    cfg = cell.config
+    assert cfg.network is not None and cfg.network.jitter == 0.0, cell.key
+    assert cfg.n_nodes == 4, cell.key
+    assert cfg.faults is None and cfg.replicas == 1, cell.key
+    if cell.scenario == "multinode-steady":
+        assert cfg.spike_magnitude is None, cell.key
+    else:
+        assert cfg.spike_magnitude is not None, cell.key
+
+
+#: What every cell of a family must look like.
+_FAMILY_SHAPES = {
+    "base": _base_shape,
+    "faults": _fault_shape,
+    "horizontal": _horizontal_shape,
+    "zoo": _zoo_shape,
+    "multinode": _multinode_shape,
+}
+
+#: One filtered selection per family, and the keys it yields.
+_FAMILY_FILTERS = {
+    "base": (
+        dict(workloads=["chain"], controllers=["null", "surgeguard"]),
+        [
+            f"chain/{c}/{s}"
+            for c in ("null", "surgeguard")
+            for s in ("steady", "rate-spike", "latency-surge")
+        ],
+    ),
+    "faults": (
+        dict(controllers=["surgeguard"], scenarios=["loss-burst"]),
+        ["chain/surgeguard/loss-burst"],
+    ),
+    "horizontal": (
+        dict(workloads=["chain"], controllers=["hybrid"]),
+        ["chain/hybrid/replica-surge"],
+    ),
+    "zoo": (
+        dict(workloads=["chain"], controllers=["statuscale"]),
+        [
+            "chain/statuscale/steady",
+            "chain/statuscale/spike",
+            "chain/statuscale/replica-surge",
+        ],
+    ),
+    "multinode": (
+        dict(workloads=["chain"], controllers=["surgeguard"]),
+        [
+            "chain/surgeguard/multinode-steady",
+            "chain/surgeguard/multinode-spike",
+        ],
+    ),
+}
 
 
 class TestMatrixConstruction:
     def test_full_matrix_shape(self):
-        cells = scenario_matrix()
-        assert len(cells) == len(WORKLOADS) * len(CONTROLLERS) * len(SCENARIOS)
+        cells = matrix()
+        assert len(cells) == sum(_FAMILY_SIZES.values()) == 81
+        # Keys are unique across the whole matrix, not just per family.
         assert len({c.key for c in cells}) == len(cells)
+        assert cells == [c for name in FAMILIES for c in matrix(families=[name])]
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_family_shape(self, family):
+        fam = FAMILIES[family]
+        cells = matrix(families=[family])
+        assert len(cells) == _FAMILY_SIZES[family] == (
+            len(fam.workloads) * len(fam.controllers) * len(fam.scenarios)
+        )
+        assert [(c.workload_family, c.controller, c.scenario) for c in cells] == [
+            (w, c, s)
+            for w in fam.workloads
+            for c in fam.controllers
+            for s in fam.scenarios
+        ]
+        for cell in cells:
+            assert cell.config.workload == WORKLOADS[cell.workload_family]
+            _FAMILY_SHAPES[family](cell)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_family_filtering(self, family):
+        filters, keys = _FAMILY_FILTERS[family]
+        assert [c.key for c in matrix(families=[family], **filters)] == keys
 
     def test_filtering(self):
-        cells = scenario_matrix(
-            workloads=["chain"], controllers=["null", "surgeguard"]
-        )
-        assert len(cells) == 2 * len(SCENARIOS)
+        # The filters apply to every family at once, in table order.
+        cells = matrix(workloads=["chain"], controllers=["null", "surgeguard"])
         assert {c.workload_family for c in cells} == {"chain"}
+        assert [c.key for c in cells] == [
+            c.key
+            for name in FAMILIES
+            for c in matrix(families=[name])
+            if c.workload_family == "chain" and c.controller in ("null", "surgeguard")
+        ]
+        assert len(cells) == 6 + 6 + 4  # base, faults, multinode
 
     def test_unknown_names_rejected(self):
-        with pytest.raises(KeyError):
-            scenario_matrix(workloads=["nope"])
-        with pytest.raises(KeyError):
-            scenario_matrix(scenarios=["nope"])
+        known = dict(
+            families="base", workloads="chain", controllers="null", scenarios="steady"
+        )
+        for axis, name in known.items():
+            assert matrix(**{axis: [name]}), axis
+            # One unknown name fails the filter, even beside known ones.
+            with pytest.raises(KeyError, match="nope"):
+                matrix(**{axis: [name, "nope"]})
 
-    def test_fault_matrix_shape(self):
-        cells = fault_matrix()
-        assert len(cells) == len(FAULT_CONTROLLERS) * len(FAULT_SCENARIOS)
-        assert {c.workload_family for c in cells} == {"chain"}
-        # Fault keys never collide with the base matrix.
-        base_keys = {c.key for c in scenario_matrix()}
-        assert not base_keys & {c.key for c in cells}
-
-    def test_fault_matrix_filtering_and_rejection(self):
-        cells = fault_matrix(controllers=["surgeguard"], scenarios=["loss-burst"])
-        assert [c.key for c in cells] == ["chain/surgeguard/loss-burst"]
-        with pytest.raises(KeyError):
-            fault_matrix(controllers=["caladan"])
-        with pytest.raises(KeyError):
-            fault_matrix(scenarios=["steady"])
+    @pytest.mark.parametrize(
+        "family, filters",
+        [
+            ("faults", dict(controllers=["caladan"])),
+            ("faults", dict(scenarios=["steady"])),
+            ("faults", dict(workloads=["socialNetwork"])),
+            ("horizontal", dict(controllers=["surgeguard"])),
+            ("horizontal", dict(scenarios=["steady"])),
+            ("zoo", dict(controllers=["surgeguard"])),
+            ("zoo", dict(scenarios=["rate-spike"])),
+            ("multinode", dict(controllers=["statuscale"])),
+            ("multinode", dict(scenarios=["steady"])),
+        ],
+    )
+    def test_known_name_selects_nothing_from_a_family_that_lacks_it(
+        self, family, filters
+    ):
+        assert matrix(families=[family], **filters) == []
+        # ...while the families that know the name keep their cells.
+        assert matrix(**filters)
 
     def test_fault_cells_carry_plans_with_rpc(self):
-        for cell in fault_matrix():
+        for cell in matrix(families=["faults"]):
             plan = cell.config.faults
             assert plan is not None and not plan.empty, cell.key
             assert plan.rpc is not None, cell.key
@@ -81,111 +193,12 @@ class TestMatrixConstruction:
             else:
                 assert plan.stalls and not plan.loss_windows and not plan.crashes
         # Base cells never carry faults.
-        assert all(c.config.faults is None for c in scenario_matrix())
-
-    def test_horizontal_matrix_shape(self):
-        cells = horizontal_matrix()
-        assert len(cells) == (
-            len(WORKLOADS) * len(HORIZONTAL_CONTROLLERS) * len(HORIZONTAL_SCENARIOS)
-        )
-        # Horizontal keys never collide with the base or fault families.
-        other = {c.key for c in scenario_matrix() + fault_matrix()}
-        assert not other & {c.key for c in cells}
-        for cell in cells:
-            cfg = cell.config
-            assert cfg.replicas == 1, cell.key
-            assert cfg.replica_capacity > 1
-            assert cfg.lb_policy == "round_robin"
-            assert cfg.faults is None
-            assert cfg.spike_magnitude is not None  # surge-shaped traffic
-
-    def test_horizontal_matrix_filtering_and_rejection(self):
-        cells = horizontal_matrix(workloads=["chain"], controllers=["hybrid"])
-        assert [c.key for c in cells] == ["chain/hybrid/replica-surge"]
-        with pytest.raises(KeyError):
-            horizontal_matrix(controllers=["surgeguard"])
-        with pytest.raises(KeyError):
-            horizontal_matrix(scenarios=["steady"])
-        with pytest.raises(KeyError):
-            horizontal_matrix(workloads=["nope"])
-
-    def test_zoo_matrix_shape(self):
-        cells = zoo_matrix()
-        assert len(cells) == (
-            len(WORKLOADS) * len(ZOO_CONTROLLERS) * len(ZOO_SCENARIOS)
-        )
-        # Zoo keys never collide with the other families.
-        other = {
-            c.key
-            for c in scenario_matrix() + fault_matrix() + horizontal_matrix()
-        }
-        assert not other & {c.key for c in cells}
-        for cell in cells:
-            cfg = cell.config
-            assert cfg.faults is None, cell.key
-            if cell.scenario == "steady":
-                assert cfg.spike_magnitude is None, cell.key
-            else:
-                assert cfg.spike_magnitude is not None, cell.key
-            if cell.scenario == "replica-surge":
-                assert cfg.replicas == 2, cell.key
-                assert cfg.lb_policy == "round_robin", cell.key
-            else:
-                assert cfg.replicas == 1, cell.key
-
-    def test_zoo_matrix_filtering_and_rejection(self):
-        cells = zoo_matrix(workloads=["chain"], controllers=["statuscale"])
-        assert [c.key for c in cells] == [
-            "chain/statuscale/steady",
-            "chain/statuscale/spike",
-            "chain/statuscale/replica-surge",
-        ]
-        with pytest.raises(KeyError):
-            zoo_matrix(controllers=["surgeguard"])
-        with pytest.raises(KeyError):
-            zoo_matrix(scenarios=["rate-spike"])
-        with pytest.raises(KeyError):
-            zoo_matrix(workloads=["nope"])
-
-    def test_multinode_matrix_shape(self):
-        cells = multinode_matrix()
-        assert len(cells) == (
-            len(WORKLOADS) * len(MULTINODE_CONTROLLERS) * len(MULTINODE_SCENARIOS)
-        )
-        # Multinode keys never collide with the other families.
-        other = {
-            c.key
-            for c in scenario_matrix()
-            + fault_matrix()
-            + horizontal_matrix()
-            + zoo_matrix()
-        }
-        assert not other & {c.key for c in cells}
-        for cell in cells:
-            cfg = cell.config
-            assert cfg.network is not None and cfg.network.jitter == 0.0, cell.key
-            assert cfg.n_nodes == 4, cell.key
-            assert cfg.faults is None and cfg.replicas == 1, cell.key
-            if cell.scenario == "multinode-steady":
-                assert cfg.spike_magnitude is None, cell.key
-            else:
-                assert cfg.spike_magnitude is not None, cell.key
-
-    def test_multinode_matrix_filtering_and_rejection(self):
-        cells = multinode_matrix(workloads=["chain"], controllers=["surgeguard"])
-        assert [c.key for c in cells] == [
-            "chain/surgeguard/multinode-steady",
-            "chain/surgeguard/multinode-spike",
-        ]
-        with pytest.raises(KeyError):
-            multinode_matrix(controllers=["statuscale"])
-        with pytest.raises(KeyError):
-            multinode_matrix(scenarios=["steady"])
-        with pytest.raises(KeyError):
-            multinode_matrix(workloads=["nope"])
+        assert all(c.config.faults is None for c in matrix(families=["base"]))
 
     def test_scenario_shapes(self):
-        by_key = {c.key: c for c in scenario_matrix(workloads=["chain"])}
+        by_key = {
+            c.key: c for c in matrix(families=["base"], workloads=["chain"])
+        }
         steady = by_key["chain/null/steady"].config
         spike = by_key["chain/null/rate-spike"].config
         surge = by_key["chain/null/latency-surge"].config
@@ -200,18 +213,11 @@ class TestMatrixConstruction:
 class TestGoldenFile:
     def test_goldens_cover_the_full_matrix(self):
         goldens = load_goldens()
-        assert set(goldens) == {
-            c.key
-            for c in scenario_matrix()
-            + fault_matrix()
-            + horizontal_matrix()
-            + zoo_matrix()
-            + multinode_matrix()
-        }
+        assert set(goldens) == {c.key for c in matrix()}
 
     def test_fault_goldens_record_fault_activity(self):
         goldens = load_goldens()
-        for cell in fault_matrix():
+        for cell in matrix(families=["faults"]):
             fp = goldens[cell.key]
             stats = fp["fault_stats"]
             if cell.scenario == "loss-burst":
@@ -222,13 +228,13 @@ class TestGoldenFile:
                 # Stall cells: null has no decision loop to suppress.
                 assert stats["stalled_cycles"] > 0, cell.key
         # Base cells must NOT have grown fault keys (golden stability).
-        for cell in scenario_matrix():
+        for cell in matrix(families=["base"]):
             assert "fault_stats" not in goldens[cell.key], cell.key
             assert "errors" not in goldens[cell.key], cell.key
 
     def test_horizontal_goldens_record_replica_scaling(self):
         goldens = load_goldens()
-        for cell in horizontal_matrix():
+        for cell in matrix(families=["horizontal"]):
             fp = goldens[cell.key]
             # The autoscaler actually launched replicas inside the cell
             # (otherwise the family pins nothing about the LB tier)...
@@ -239,7 +245,7 @@ class TestGoldenFile:
 
     def test_zoo_goldens_record_controller_activity(self):
         goldens = load_goldens()
-        for cell in zoo_matrix():
+        for cell in matrix(families=["zoo"]):
             fp = goldens[cell.key]
             assert "fault_stats" not in fp, cell.key
             if cell.scenario != "steady":
@@ -269,20 +275,16 @@ class TestGoldenFile:
         ), "goldens.json not in canonical --update-golden format"
 
 
-#: The tier-1 cells, by golden key: the cheapest base cell, and its
-#: 4-node, jitter-free counterpart.
-_TIER1_CELLS = {
-    "chain/null/steady": scenario_matrix,
-    "chain/null/multinode-steady": multinode_matrix,
-}
-
-
 class TestMatrixTier1Cell:
-    @pytest.mark.parametrize("key", list(_TIER1_CELLS))
+    @pytest.mark.parametrize(
+        "key",
+        # The cheapest base cell, and its 4-node, jitter-free counterpart.
+        ["chain/null/steady", "chain/null/multinode-steady"],
+    )
     def test_one_cell_matches_golden(self, key):
         """Cheapest cells in tier-1: catch drift on every PR."""
         family, controller, scenario = key.split("/")
-        cells = _TIER1_CELLS[key](
+        cells = matrix(
             workloads=[family], controllers=[controller], scenarios=[scenario]
         )
         assert [c.key for c in cells] == [key]
@@ -295,11 +297,11 @@ class TestMatrixTier1Cell:
 
 @pytest.mark.matrix
 class TestMatrixSlices:
-    """Full-controller slices; ``python -m repro.validate`` covers the rest."""
+    """One slice per family; ``python -m repro.validate`` runs them all."""
 
-    @pytest.mark.parametrize("family", sorted(WORKLOADS))
+    @pytest.mark.parametrize("family", list(FAMILIES))
     def test_family_slice(self, family):
-        report = run_matrix(scenario_matrix(workloads=[family]), verbose=False)
+        report = run_matrix(matrix(families=[family]), verbose=False)
         failing = [
             (c.scenario.key, c.violations, c.diffs, c.golden_missing)
             for c in report.outcomes
@@ -307,39 +309,10 @@ class TestMatrixSlices:
         ]
         assert report.ok, failing
         assert report.total_violations == 0
-
-    def test_horizontal_slice(self):
-        report = run_matrix(horizontal_matrix(), verbose=False)
-        failing = [
-            (c.scenario.key, c.violations, c.diffs, c.golden_missing)
-            for c in report.outcomes
-            if not c.ok
-        ]
-        assert report.ok, failing
-        assert report.total_violations == 0
-
-    def test_zoo_slice(self):
-        report = run_matrix(zoo_matrix(), verbose=False)
-        failing = [
-            (c.scenario.key, c.violations, c.diffs, c.golden_missing)
-            for c in report.outcomes
-            if not c.ok
-        ]
-        assert report.ok, failing
-        assert report.total_violations == 0
-
-    def test_fault_slice(self):
-        report = run_matrix(fault_matrix(), verbose=False)
-        failing = [
-            (c.scenario.key, c.violations, c.diffs, c.golden_missing)
-            for c in report.outcomes
-            if not c.ok
-        ]
-        assert report.ok, failing
-        assert report.total_violations == 0
+        assert len(report.outcomes) == _FAMILY_SIZES[family]
 
     def test_update_golden_writes_filtered_set(self, tmp_path):
-        cells = scenario_matrix(
+        cells = matrix(
             workloads=["chain"], controllers=["null"], scenarios=["steady"]
         )
         out = tmp_path / "goldens.json"
