@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.cluster.frequency import DvfsModel
@@ -104,6 +104,11 @@ class Container:
         #: from co-located work (cache/membw contention, noisy
         #: neighbours) — the "other disruptions" surge type.  1.0 = clean.
         self._speed_factor = 1.0
+        # Products of the settings, recomputed only where a setting
+        # changes (``_step``): the rate of a phase with a core to itself,
+        # and the (f/f_max)^3 dynamic-energy weight of a busy core-second.
+        self._peak_rate = self._freq * self._speed_factor
+        self._dyn_weight = (self._freq / dvfs.f_max) ** 3
         self.node: Optional["Node"] = None  # set by Node.add_container
 
         self._jobs: Dict[int, _Job] = {}
@@ -160,8 +165,8 @@ class Container:
         """Current per-phase progress rate in cycles/second."""
         n = len(self._jobs)
         if n == 0:
-            return self._freq * self._speed_factor
-        return self._freq * self._speed_factor * min(1.0, self._cores / n)
+            return self._peak_rate
+        return self._peak_rate * min(1.0, self._cores / n)
 
     # ------------------------------------------------------------- control
     def set_cores(self, cores: float) -> None:
@@ -274,6 +279,9 @@ class Container:
         rate is ``_next_rate``: whenever jobs exist it holds the rate the
         last step computed from the current settings and job count.
         Subtracting a zero burn leaves every remaining value bit-equal.
+        The setting products ``_peak_rate`` and ``_dyn_weight`` are
+        recomputed only here, when ``freq`` or ``speed`` changes; each
+        is the same float the full expression would give.
 
         Cheap path: when a pending event exists and neither the winning
         job nor the shared progress rate changed (e.g. a new arrival with
@@ -295,29 +303,33 @@ class Container:
             self.alloc_core_seconds += self._cores * dt
             self.freq_seconds += self._freq * dt
             if n:
-                busy = min(float(n), self._cores)
+                # An int n multiplies a float exactly as float(n) does.
+                busy = n if n < self._cores else self._cores
                 self.busy_core_seconds += busy * dt
-                self.busy_weighted_seconds += (
-                    busy * (self._freq / self.dvfs.f_max) ** 3 * dt
-                )
+                self.busy_weighted_seconds += busy * self._dyn_weight * dt
                 burned = self._next_rate * dt
         if cores is not None:
             self._cores = cores
         if freq is not None:
             self._freq = freq
+            self._dyn_weight = (freq / self.dvfs.f_max) ** 3
+            self._peak_rate = freq * self._speed_factor
         if speed is not None:
             self._speed_factor = speed
+            self._peak_rate = self._freq * speed
         if kill:
             jobs.clear()
 
-        finished: List[_Job] = []
+        # A tuple that grows only when a job finishes: ``()`` is shared,
+        # so a step that finishes nothing allocates nothing here.
+        finished: Tuple[_Job, ...] = ()
         winner = None
         min_rem = math.inf
         for j in jobs.values():
             rem = j.remaining - burned
             j.remaining = rem
             if rem <= _EPS_CYCLES:
-                finished.append(j)
+                finished += (j,)
             elif rem < min_rem:
                 min_rem = rem
                 winner = j
@@ -326,7 +338,7 @@ class Container:
             jobs[job.jid] = job
             rem = job.remaining
             if rem <= _EPS_CYCLES:
-                finished.append(job)
+                finished += (job,)
             elif rem < min_rem:
                 min_rem = rem
                 winner = job
@@ -347,7 +359,7 @@ class Container:
             return
         share = self._cores / len(jobs)
         # Positive: cores, frequency and speed factor are validated positive.
-        rate = self._freq * self._speed_factor * (share if share < 1.0 else 1.0)
+        rate = self._peak_rate * (share if share < 1.0 else 1.0)
         if (
             pending is not None
             and pending.fn is not None

@@ -20,11 +20,18 @@ The two details that carry the paper's Fig. 5 phenomenology:
 Fan-out: ``sequential`` sums the per-child waits (the same thread blocks
 for each in turn); ``parallel`` takes the maximum (waits overlap in wall
 time), keeping ``execMetric = execTime − wait`` non-negative.
+
+Continuations follow one convention, ``fn, *args`` (``Container.submit``,
+``ConnectionPool.acquire``): a bound method and the request state, never
+a closure per call.  A sequential child's pool follows from the request's
+``child_idx``, so its reply continuation is a bound method of the request
+state; a parallel branch binds its pool with :func:`functools.partial`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -44,23 +51,27 @@ class _Invocation:
     """Per-request state at one service instance."""
 
     __slots__ = (
+        "instance",
         "pkt",
         "t_arrive",
         "upscale_in",
         "conn_wait",
-        "par_waits",
         "child_idx",
         "pending",
         "failed",
         "dead",
     )
 
-    def __init__(self, pkt: RpcPacket, t_arrive: float):
+    def __init__(self, instance: "ServiceInstance", pkt: RpcPacket, t_arrive: float):
+        self.instance = instance
         self.pkt = pkt
         self.t_arrive = t_arrive
         self.upscale_in = pkt.upscale
-        self.conn_wait = 0.0  # sequential accumulation
-        self.par_waits: List[float] = []  # parallel per-branch waits
+        #: Connection wait reported at completion: the sum of the child
+        #: waits under sequential fan-out, their running maximum under
+        #: parallel fan-out (waits are non-negative, so the maximum of
+        #: all of them is the same float).
+        self.conn_wait = 0.0
         self.child_idx = 0
         self.pending = 0
         #: A child call failed (error response or retry exhaustion);
@@ -70,6 +81,10 @@ class _Invocation:
         #: an error: every late callback must drop on the floor — in
         #: particular it must NOT release pools that were flushed.
         self.dead = False
+
+    def sequential_reply(self, resp: Optional[RpcPacket]) -> None:
+        """Reply continuation of this request's current sequential child."""
+        self.instance._sequential_child_done(self, resp)
 
 
 class ServiceInstance:
@@ -110,6 +125,8 @@ class ServiceInstance:
         self.runtime = runtime
         self.network = network
         self.pools = pools
+        #: ``(child name, pool)`` per outgoing edge, in call order.
+        self._edges = tuple((e.child, pools[e.child]) for e in spec.children)
         self.rng = rng
         # One shared iterator per standard-variate kind, so same-kind pre
         # and post phases read the stream in request order, as scalar
@@ -164,13 +181,10 @@ class ServiceInstance:
             return
         if pkt.kind != REQUEST:  # pragma: no cover - wiring bug guard
             raise RuntimeError(f"unknown packet kind {pkt.kind!r}")
-        self._on_request(pkt)
-
-    def _on_request(self, pkt: RpcPacket) -> None:
         self.requests_started += 1
         now = self.sim.now
         self.runtime.on_arrival(now - pkt.start_time, pkt.upscale)
-        inv = _Invocation(pkt, now)
+        inv = _Invocation(self, pkt, now)
         self._live.add(inv)
         work = self._pre_work()
         if work > 0.0:
@@ -243,65 +257,51 @@ class ServiceInstance:
     def _after_pre(self, inv: _Invocation) -> None:
         if inv.dead:
             return
-        children = self.spec.children
-        if not children:
+        edges = self._edges
+        if not edges:
             self._after_children(inv)
             return
         if self.spec.fanout == SEQUENTIAL:
             self._start_sequential_child(inv)
         else:
-            inv.pending = len(children)
-            for i in range(len(children)):
-                self._start_parallel_child(inv, i)
+            inv.pending = len(edges)
+            for child, pool in edges:
+                pool.acquire(self._parallel_granted, inv, child, pool)
 
     def _start_sequential_child(self, inv: _Invocation) -> None:
-        edge = self.spec.children[inv.child_idx]
-        pool = self.pools[edge.child]
+        self._edges[inv.child_idx][1].acquire(self._sequential_granted, inv)
 
-        def granted(wait: float) -> None:
-            if inv.dead:
-                return  # pool was flushed with the crash; do not send
-            inv.conn_wait += wait
-            self._call_child(
-                inv,
-                edge.child,
-                lambda resp: self._sequential_child_done(inv, pool, resp),
-            )
-
-        pool.acquire(granted)
+    def _sequential_granted(self, wait: float, inv: _Invocation) -> None:
+        if inv.dead:
+            return  # pool was flushed with the crash; do not send
+        inv.conn_wait += wait
+        self._call_child(inv, self._edges[inv.child_idx][0], inv.sequential_reply)
 
     def _sequential_child_done(
-        self, inv: _Invocation, pool: ConnectionPool, resp: Optional[RpcPacket]
+        self, inv: _Invocation, resp: Optional[RpcPacket]
     ) -> None:
         if inv.dead:
             return
-        pool.release()
+        self._edges[inv.child_idx][1].release()
         if resp is None or resp.error:
             # Child failed (retry exhaustion or explicit error): skip the
             # remaining children — the request cannot succeed anyway.
             self._finish_error(inv)
             return
         inv.child_idx += 1
-        if inv.child_idx < len(self.spec.children):
+        if inv.child_idx < len(self._edges):
             self._start_sequential_child(inv)
         else:
             self._after_children(inv)
 
-    def _start_parallel_child(self, inv: _Invocation, idx: int) -> None:
-        edge = self.spec.children[idx]
-        pool = self.pools[edge.child]
-
-        def granted(wait: float) -> None:
-            if inv.dead:
-                return  # pool was flushed with the crash; do not send
-            inv.par_waits.append(wait)
-            self._call_child(
-                inv,
-                edge.child,
-                lambda resp: self._parallel_child_done(inv, pool, resp),
-            )
-
-        pool.acquire(granted)
+    def _parallel_granted(
+        self, wait: float, inv: _Invocation, child: str, pool: ConnectionPool
+    ) -> None:
+        if inv.dead:
+            return  # pool was flushed with the crash; do not send
+        if wait > inv.conn_wait:
+            inv.conn_wait = wait
+        self._call_child(inv, child, partial(self._parallel_child_done, inv, pool))
 
     def _parallel_child_done(
         self, inv: _Invocation, pool: ConnectionPool, resp: Optional[RpcPacket]
@@ -318,7 +318,6 @@ class ServiceInstance:
                 # only now can the request complete, as an error.
                 self._finish_error(inv)
                 return
-            inv.conn_wait += max(inv.par_waits, default=0.0)
             self._after_children(inv)
 
     # --------------------------------------------------------------- egress

@@ -265,7 +265,7 @@ class Network:
         if jitter is not None:
             base *= 1.0 + next(jitter) * self._jitter_scale
         sim = self.sim
-        t = sim._now
+        t = sim.now
         if self._surge_from <= t < self._surge_until:
             base += self._surge_active
         else:

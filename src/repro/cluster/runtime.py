@@ -195,9 +195,11 @@ class ContainerRuntime:
         """TTL for this request's downstream packets.
 
         The propagated hint is ``incoming − 1`` (bounded reach, §IV); a
-        live local stamp overrides it if larger.
+        live local stamp overrides it if larger.  This runs on every child
+        call, so it reads the clock itself rather than :attr:`stamp_active`.
         """
-        propagated = max(incoming_ttl - 1, 0)
-        if self.stamp_active:
-            return max(propagated, self._stamp_ttl)
+        propagated = incoming_ttl - 1 if incoming_ttl > 1 else 0
+        stamp = self._stamp_ttl
+        if stamp > propagated and self.sim.now < self._stamp_until:
+            return stamp
         return propagated

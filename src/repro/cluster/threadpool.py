@@ -23,7 +23,7 @@ runtime metrics and by the tests' invariant checks.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.sim.engine import Simulator
 
@@ -66,7 +66,8 @@ class ConnectionPool:
         self.setup_latency = setup_latency
         self.name = name
         self.in_flight = 0
-        self._waiters: Deque[Tuple[float, Callable[[float], None]]] = deque()
+        #: Queued acquirers: ``(enqueue time, done, args)``.
+        self._waiters: Deque[Tuple[float, Callable[..., None], tuple]] = deque()
         # --- cumulative statistics -------------------------------------
         self.total_acquires = 0
         self.total_waited = 0  # acquires that had to queue
@@ -92,12 +93,15 @@ class ConnectionPool:
         return self.capacity - self.in_flight
 
     # --------------------------------------------------------------- acquire
-    def acquire(self, done: Callable[[float], None]) -> None:
-        """Request a connection; ``done(wait_time)`` fires when granted.
+    def acquire(self, done: Callable[..., None], *args: Any) -> None:
+        """Request a connection; ``done(wait_time, *args)`` fires when granted.
 
-        ``wait_time`` is the time spent blocked waiting for a *pooled*
-        connection (zero in per-request mode — setup latency is a network
-        cost, not an implicit-queue cost, and must *not* pollute
+        The continuation convention of ``Simulator.schedule`` and
+        ``Container.submit``: the caller passes a bound method and its
+        state, so no closure is built per call.  ``wait_time`` is the
+        time spent blocked waiting for a *pooled* connection (zero in
+        per-request mode — setup latency is a network cost, not an
+        implicit-queue cost, and must *not* pollute
         ``timeWaitingForFreeConn``; with unlimited pools the paper notes
         ``execMetric == execTime``).
         """
@@ -105,16 +109,16 @@ class ConnectionPool:
         if self.capacity is None:
             self.in_flight += 1
             if self.setup_latency > 0.0:
-                self.sim.schedule(self.setup_latency, done, 0.0)
+                self.sim.schedule(self.setup_latency, done, 0.0, *args)
             else:
-                done(0.0)
+                done(0.0, *args)
             return
         if self.in_flight < self.capacity:
             self.in_flight += 1
-            done(0.0)
+            done(0.0, *args)
             return
         self.total_waited += 1
-        self._waiters.append((self.sim.now, done))
+        self._waiters.append((self.sim.now, done, args))
         if len(self._waiters) > self.max_queue_len:
             self.max_queue_len = len(self._waiters)
 
@@ -128,10 +132,10 @@ class ConnectionPool:
         if self._waiters:
             # Hand the connection straight to the next waiter: in_flight
             # stays constant, the waiter's wait time ends now.
-            enq_t, done = self._waiters.popleft()
+            enq_t, done, args = self._waiters.popleft()
             wait = self.sim.now - enq_t
             self.total_wait_time += wait
-            done(wait)
+            done(wait, *args)
         else:
             self.in_flight -= 1
 
@@ -142,7 +146,8 @@ class ConnectionPool:
         it: connections held by in-flight calls are gone (the matching
         ``release()`` will never come — callers are marked dead and must
         not release after a flush) and queued acquirers are abandoned.
-        Returns the number of waiters discarded.  Cumulative statistics
+        Returns the number of waiters discarded (their continuations and
+        arguments go with them).  Cumulative statistics
         are left intact — they describe history, not live state.
         """
         dropped = len(self._waiters)

@@ -23,6 +23,7 @@ and is what the §VII bench exercises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -56,8 +57,15 @@ class HpaParams:
     max_replicas: int = 4
 
     def __post_init__(self) -> None:
-        if self.interval <= 0 or self.launch_delay < 0:
-            raise ValueError("invalid timing parameters")
+        if not (math.isfinite(self.interval) and self.interval > 0):
+            raise ValueError(
+                f"interval must be finite and positive, got {self.interval!r}"
+            )
+        if not (math.isfinite(self.launch_delay) and self.launch_delay >= 0):
+            raise ValueError(
+                "launch_delay must be finite and non-negative, "
+                f"got {self.launch_delay!r}"
+            )
         if not 0 < self.scale_in_utilization < self.target_utilization < 1:
             raise ValueError("need 0 < scale_in < target < 1")
         if not 1 <= self.min_replicas <= self.max_replicas:

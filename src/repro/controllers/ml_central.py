@@ -23,6 +23,7 @@ it loses to latency alone — which is the paper's argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -49,10 +50,16 @@ class MLParams:
     min_cores: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if self.collection_delay < 0 or self.inference_delay < 0:
-            raise ValueError("delays must be non-negative")
+        if not (math.isfinite(self.interval) and self.interval > 0):
+            raise ValueError(
+                f"interval must be finite and positive, got {self.interval!r}"
+            )
+        for name in ("collection_delay", "inference_delay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
 
 
 class CentralizedMLController(Controller):

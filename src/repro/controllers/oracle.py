@@ -51,8 +51,11 @@ class OracleController(Controller):
         granularity: float = 0.5,
     ):
         super().__init__()
-        if detection_delay < 0:
-            raise ValueError("detection_delay must be non-negative")
+        if not (math.isfinite(detection_delay) and detection_delay >= 0):
+            raise ValueError(
+                "detection_delay must be finite and non-negative, "
+                f"got {detection_delay!r}"
+            )
         if headroom < 1.0:
             raise ValueError("headroom must be >= 1")
         self.schedule = schedule

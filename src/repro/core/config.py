@@ -8,6 +8,7 @@ robust.  Every knob is exercised by at least one test or ablation bench.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["SurgeGuardConfig"]
@@ -84,7 +85,17 @@ class SurgeGuardConfig:
             raise ValueError("upscale_ttl must be non-negative")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if self.hold_factor <= 0:
-            raise ValueError("hold_factor must be positive")
+        if not (math.isfinite(self.hold_factor) and self.hold_factor > 0):
+            raise ValueError(
+                f"hold_factor must be finite and positive, got {self.hold_factor!r}"
+            )
+        # Delays the fast path schedules and the stamp window: NaN would
+        # fail at the first packet or silently disable a ``now < until``.
+        for name in ("stamp_duration", "hook_cost", "enqueue_cost", "msr_cost"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         if self.core_step <= 0 or self.min_cores <= 0:
             raise ValueError("core sizes must be positive")

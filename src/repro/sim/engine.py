@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import sys
 from heapq import heapify, heappop, heappush
-from math import inf, isfinite
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.sim.recycle import pool_enabled
@@ -115,7 +115,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_heap",
         "_seq",
         "_running",
@@ -131,7 +131,9 @@ class Simulator:
     _COMPACT_MIN = 512
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        #: Current simulated time in seconds.  A plain attribute, read on
+        #: every hop; only :meth:`run` writes it.
+        self.now = float(start_time)
         #: ``(time, seq, handle)`` entries; ``seq`` is unique, so tuple
         #: comparison never reaches the handle.
         self._heap: list[tuple[float, int, EventHandle]] = []
@@ -150,15 +152,11 @@ class Simulator:
         )
         self._handles_constructed = 0
         #: optional callable ``(time, fn, args)`` invoked before each event;
-        #: used by tests and the debugging tracer, ``None`` in production runs.
+        #: used by tests and the debugging tracer, ``None`` in production
+        #: runs.  :meth:`run` reads it once, on entry.
         self.trace_hook: Optional[Callable[[float, Callable, tuple], None]] = None
 
-    # ------------------------------------------------------------------ clock
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
+    # ------------------------------------------------------------- counters
     @property
     def events_fired(self) -> int:
         """Number of events executed so far (for engine benchmarks)."""
@@ -196,15 +194,19 @@ class Simulator:
         ``delay`` must be finite and non-negative.  Returns a cancellable
         :class:`EventHandle`.
         """
-        if delay < 0.0 or not isfinite(delay):
+        # One chained comparison: NaN fails both halves, ±inf one of them.
+        if not 0.0 <= delay < inf:
             raise SimulationError(f"invalid event delay {delay!r}")
-        return self.schedule_at(self._now + delay, fn, *args)
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now or not isfinite(time):
+        """Schedule ``fn(*args)`` at absolute simulated ``time``.
+
+        ``time`` must be finite and not in the past.
+        """
+        if not self.now <= time < inf:
             raise SimulationError(
-                f"cannot schedule at t={time!r} (now={self._now!r})"
+                f"cannot schedule at t={time!r} (now={self.now!r})"
             )
         seq = self._seq
         free = self._free
@@ -279,6 +281,7 @@ class Simulator:
         heap = self._heap
         free = self._free
         getrefcount = sys.getrefcount
+        trace_hook = self.trace_hook
         try:
             while heap and budget > 0:
                 # Unpacked, never bound: once the popped tuple dies the
@@ -295,15 +298,15 @@ class Simulator:
                 if time > horizon:
                     heappush(heap, (time, seq, handle))
                     break
-                self._now = time
+                self.now = time
                 fn, args = handle.fn, handle.args
                 handle.fn = None  # mark fired
                 # Cleared unconditionally, not only on the recycle path: a
                 # fired handle someone retained must not pin the callback's
                 # argument graph until GC.
                 handle.args = ()
-                if self.trace_hook is not None:
-                    self.trace_hook(time, fn, args)
+                if trace_hook is not None:
+                    trace_hook(time, fn, args)
                 self._fired_count += 1
                 fn(*args)
                 budget -= 1
@@ -312,8 +315,8 @@ class Simulator:
                     free.append(handle)
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
 
     def drain(self) -> None:
         """Discard all pending events without running them.

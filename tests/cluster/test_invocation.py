@@ -107,16 +107,43 @@ class TestFanout:
         assert cluster.instances["l"].requests_completed == 1
         assert cluster.instances["r"].requests_completed == 1
 
-    def test_sequential_conn_wait_accumulates(self, sim, make_cluster):
-        """With a pool of 1 on both edges, the second child call cannot
-        overlap; conn wait stays within execTime."""
-        cluster = make_cluster(fanout_app("sequential", 1))
-        for i in range(4):
-            cluster.client_send(i, lambda p: None)
-        sim.run()
-        rt = cluster.runtimes["root"]
-        assert rt.total_conn_wait >= 0.0
+    @staticmethod
+    def _two_requests(mode):
+        """Two back-to-back requests through pools of 1 on both edges.
+
+        The first request never waits; the second waits once per edge,
+        and each pool's ``total_wait_time`` is that one wait.  Seed 2 is
+        one at which the second request waits on both edges in both
+        modes (the branch replies race on network jitter).
+        """
+        from repro.cluster.cluster import Cluster, ClusterConfig
+        from repro.sim.engine import Simulator
+
+        s = Simulator()
+        cfg = ClusterConfig(cores_per_node=12, placement="pack")
+        c = Cluster(s, fanout_app(mode, 1), cfg, RngRegistry(2))
+        for i in range(2):
+            c.client_send(i, lambda p: None)
+        s.run()
+        pools = c.instances["root"].pools
+        assert [pools[e].total_waited for e in ("l", "r")] == [1, 1]
+        waits = [pools[e].total_wait_time for e in ("l", "r")]
+        assert 0.0 < min(waits) and waits[0] != waits[1]
+        return c.runtimes["root"], waits
+
+    def test_sequential_conn_wait_accumulates(self):
+        """The same thread blocks for each child in turn: the root
+        reports exactly the sum of the second request's two waits."""
+        rt, (w_l, w_r) = self._two_requests("sequential")
+        assert rt.total_conn_wait == w_l + w_r
         assert rt.total_exec_metric > 0.0  # never negative / degenerate
+
+    def test_parallel_conn_wait_is_the_branch_maximum(self):
+        """Parallel waits overlap in wall time: the root reports exactly
+        the larger of the second request's two waits."""
+        rt, waits = self._two_requests("parallel")
+        assert rt.total_conn_wait == max(waits)
+        assert rt.total_exec_metric > 0.0
 
 
 class TestHintPropagation:

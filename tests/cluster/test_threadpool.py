@@ -1,5 +1,8 @@
 """Unit tests for connection pools (both threading models)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.threadpool import ConnectionPool
@@ -100,6 +103,50 @@ class TestPerRequest:
     def test_negative_setup_rejected(self, sim):
         with pytest.raises(ValueError):
             ConnectionPool(sim, None, setup_latency=-1.0)
+
+
+class TestContinuationArgs:
+    """``acquire(done, *args)`` calls ``done(wait, *args)`` on every
+    grant path, like ``Simulator.schedule`` and ``Container.submit``."""
+
+    def test_immediate_grant(self, sim):
+        got = []
+        ConnectionPool(sim, 1).acquire(lambda w, *a: got.append((w, a)), "x", 7)
+        assert got == [(0.0, ("x", 7))]
+
+    def test_grant_after_setup_delay(self, sim):
+        pool = ConnectionPool(sim, None, setup_latency=20e-6)
+        got = []
+        pool.acquire(lambda w, *a: got.append((sim.now, w, a)), "x")
+        assert got == []
+        sim.run()
+        assert got == [(20e-6, 0.0, ("x",))]
+
+    def test_grant_from_queue(self, sim):
+        pool = ConnectionPool(sim, 1)
+        got = []
+        pool.acquire(lambda w, *a: got.append((w, a)), "first")
+        pool.acquire(lambda w, *a: got.append((w, a)), "second", 2)
+        sim.schedule(0.75, pool.release)
+        sim.run()
+        assert got == [(0.0, ("first",)), (0.75, ("second", 2))]
+
+    def test_flush_drops_waiters_and_args(self, sim):
+        class Token:
+            pass
+
+        pool = ConnectionPool(sim, 1)
+        got = []
+        pool.acquire(lambda w, *a: got.append(a))
+        token = Token()
+        ref = weakref.ref(token)
+        pool.acquire(lambda w, *a: got.append(a), token)
+        del token
+        assert pool.flush() == 1
+        gc.collect()
+        assert ref() is None  # the queued args went with the waiter
+        assert pool.queue_len == 0 and pool.in_flight == 0
+        assert got == [()]
 
 
 class TestLittlesLaw:

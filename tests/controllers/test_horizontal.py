@@ -41,6 +41,12 @@ class TestParams:
         with pytest.raises(ValueError):
             HpaParams(min_replicas=3, max_replicas=2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["interval", "launch_delay"])
+    def test_non_finite_timing_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HpaParams(**{field: value})
+
     def test_runs_on_a_default_config(self):
         """Every cluster is a replica set, so HPA needs no setup."""
         res = run_experiment(mini_config(lambda: HorizontalAutoscaler()))

@@ -21,6 +21,12 @@ class TestParams:
         with pytest.raises(ValueError):
             MLParams(collection_delay=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["interval", "collection_delay", "inference_delay"])
+    def test_non_finite_timing_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MLParams(**{field: value})
+
 
 class TestBehavior:
     def test_correct_root_cause_but_slow(self):

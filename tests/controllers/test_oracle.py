@@ -31,6 +31,11 @@ class TestOracle:
         with pytest.raises(ValueError):
             OracleController(s, detection_delay=0.0, headroom=0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_detection_delay_rejected(self, value):
+        with pytest.raises(ValueError, match="detection_delay"):
+            OracleController(RateSchedule(100.0), detection_delay=value)
+
     def test_zero_delay_beats_long_delay(self):
         base = mini_config(lambda: None)
         sched = surge_schedule(base)

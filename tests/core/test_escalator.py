@@ -31,6 +31,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             SurgeGuardConfig(upscale_ttl=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["hook_cost", "enqueue_cost", "msr_cost", "stamp_duration", "hold_factor"],
+    )
+    def test_non_finite_timing_rejected(self, field, value):
+        """NaN passes a bare ``x < 0`` check; the config must still refuse it."""
+        with pytest.raises(ValueError, match=field):
+            SurgeGuardConfig(**{field: value})
+
 
 class TestSurgeResponse:
     def test_beats_static_on_surge(self):

@@ -51,6 +51,19 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, 1.0])
+    def test_schedule_at_rejects_non_finite_and_past(self, sim, time):
+        """NaN, ±inf and a past time fail the one chained check, and
+        nothing is queued."""
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="cannot schedule"):
+            sim.schedule_at(time, lambda: None)
+        assert sim.events_pending == 0
+
+    def test_start_time_sets_the_clock(self):
+        assert Simulator(start_time=1.5).now == 1.5
+
     def test_zero_delay_event_runs(self, sim):
         fired = []
         sim.schedule(0.0, fired.append, 1)
@@ -194,6 +207,19 @@ class TestRun:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_fired == 5
+
+    def test_trace_hook_read_once_per_run(self, sim):
+        """``run()`` reads ``trace_hook`` on entry: a hook a handler sets
+        takes effect at the next ``run()``."""
+        traced = []
+        hook = lambda t, fn, args: traced.append(t)  # noqa: E731
+        sim.schedule(1.0, setattr, sim, "trace_hook", hook)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert traced == []
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert traced == [3.0]
 
     def test_trace_hook_called(self, sim):
         traced = []
