@@ -8,19 +8,21 @@ Repetition count defaults to the ``REPRO_REPS`` environment variable so
 the benchmark suite stays fast by default (1 rep) while the full paper
 protocol (17) is one env var away.  With fewer than 3 reps nothing is
 trimmed.
+
+A cell's repetitions run one after another in this process; figure
+drivers run concurrently under ``run_all --jobs``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.exec.pool import run_reps
-from repro.experiments.harness import ExperimentConfig
+from repro.experiments.harness import ExperimentConfig, profile_targets, run_experiment
 
 __all__ = ["CellResult", "default_reps", "run_cell", "trimmed_mean"]
 
@@ -71,7 +73,6 @@ def run_cell(
     reps: Optional[int] = None,
     trim: int = 1,
     keep_runs: bool = False,
-    jobs: Optional[int] = None,
 ) -> CellResult:
     """Run one cell ``reps`` times (seeds ``seed..seed+reps−1``) and trim.
 
@@ -84,14 +85,12 @@ def run_cell(
     a configuration error and raises :class:`ValueError` instead of
     silently averaging untrimmed values.
 
-    Repetitions run through :func:`repro.exec.pool.run_reps`: the
-    profiling pass runs once and every repetition shares it.  ``jobs >
-    1`` fans them out across worker processes, bit-identical to serial
-    execution (same seeds, same trimmed means), and requires a
-    picklable config — use :func:`repro.exec.specs.spec` controller
-    factories, not lambdas.
+    The profiling pass runs once and every repetition shares its
+    targets; the repetitions run in seed order.
     """
     n = default_reps() if reps is None else reps
+    if n < 1:
+        raise ValueError(f"reps must be >= 1, got {n}")
     if trim < 0:
         raise ValueError(f"trim must be >= 0, got {trim}")
     if trim > 1 and n <= 2 * trim:
@@ -99,10 +98,11 @@ def run_cell(
             f"trim={trim} would discard all {n} repetition(s); "
             f"need reps >= {2 * trim + 1} (set REPRO_REPS or pass reps=)"
         )
-    n_jobs = 1 if jobs is None else int(jobs)
-    if n_jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    results = run_reps(cfg, n, jobs=n_jobs)
+    targets = profile_targets(cfg)
+    results = [
+        run_experiment(replace(cfg, seed=cfg.seed + i), targets=targets)
+        for i in range(n)
+    ]
     return CellResult(
         workload=cfg.workload,
         controller=results[0].controller_name,

@@ -16,6 +16,7 @@ drives it automatically before each measured run.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
@@ -57,16 +58,22 @@ class TargetConfig:
     qos_target: float
 
     def __post_init__(self) -> None:
-        if self.qos_target <= 0:
-            raise ValueError("qos_target must be positive")
+        # ``v > 0`` alone would let NaN through: a NaN limit is one no
+        # latency ever violates.
+        if not (math.isfinite(self.qos_target) and self.qos_target > 0):
+            raise ValueError(
+                f"qos_target must be finite and positive, got {self.qos_target!r}"
+            )
         for name, d in (
             ("expected_exec_metric", self.expected_exec_metric),
             ("expected_exec_time", self.expected_exec_time),
             ("expected_time_from_start", self.expected_time_from_start),
         ):
             for k, v in d.items():
-                if v <= 0:
-                    raise ValueError(f"{name}[{k!r}] must be positive, got {v!r}")
+                if not (math.isfinite(v) and v > 0):
+                    raise ValueError(
+                        f"{name}[{k!r}] must be finite and positive, got {v!r}"
+                    )
 
     def with_replica_fallback(self) -> "TargetConfig":
         """A copy whose per-container dicts resolve replica endpoint
@@ -102,8 +109,9 @@ class TargetConfig:
         ordinary steady-state tails (exactly the noise §IV-A's hold
         window exists to damp).
         """
-        if multiplier <= 0 or tfs_multiplier <= 0:
-            raise ValueError("multipliers must be positive")
+        for m in (multiplier, tfs_multiplier):
+            if not (math.isfinite(m) and m > 0):
+                raise ValueError(f"multipliers must be finite and positive, got {m!r}")
         exec_metric: Dict[str, float] = {}
         exec_time: Dict[str, float] = {}
         tfs: Dict[str, float] = {}

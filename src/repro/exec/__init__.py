@@ -1,16 +1,14 @@
-"""Parallel experiment execution: controller specs and process-pool fan-out.
+"""Named controller specs: recipes for ``controller_factory`` made of data.
 
-* :mod:`repro.exec.specs` — named, picklable controller recipes that
-  replace closure factories in :class:`ExperimentConfig`;
-* :mod:`repro.exec.pool` — repetition fan-out across a
-  ``ProcessPoolExecutor``, bit-identical to serial execution.
+* :mod:`repro.exec.specs` — a static table of controller names, each a
+  controller class and its parameter dataclass.  A spec compares,
+  hashes, pickles and prints by value.
 """
 
-from repro.exec.specs import ControllerSpec, available_specs, register_controller, spec
+from repro.exec.specs import ControllerSpec, available_specs, spec
 
 __all__ = [
     "ControllerSpec",
     "available_specs",
-    "register_controller",
     "spec",
 ]

@@ -1,16 +1,16 @@
 """Named, picklable controller specifications.
 
-:class:`repro.experiments.harness.ExperimentConfig` historically carried
-a bare ``Callable[[], Controller]`` factory.  Closures and lambdas do
-not pickle, which blocks fanning experiment repetitions out across a
-:class:`~concurrent.futures.ProcessPoolExecutor` (`repro.exec.pool`).
+:class:`repro.experiments.harness.ExperimentConfig` takes a zero-argument
+``controller_factory``.  A :class:`ControllerSpec` is such a factory made
+of *data*: a name from the table below plus a frozen tuple of keyword
+parameters.  It compares and hashes by value, pickles, and prints as
+its name and parameters, so a config that holds one can be keyed,
+compared and logged (the validate matrix and the benchmark build every
+cell this way).
 
-A :class:`ControllerSpec` replaces the closure with *data*: a registry
-name plus a frozen tuple of keyword parameters.  The spec is itself a
-zero-argument callable, so it drops into ``controller_factory=`` slots
-unchanged — but it pickles, compares by value, and is resolved **inside
-the worker process** against the registry below, so the parent never
-has to ship controller object graphs.
+Each name maps to a controller class and the dataclass its parameters
+route into; every class builds ``params or Params()``, so a spec
+without parameters builds the class's default controller.
 
 >>> spec("surgeguard", firstresponder=False)()   # doctest: +ELLIPSIS
 <repro.core.surgeguard.SurgeGuardController object at ...>
@@ -19,43 +19,60 @@ has to ship controller object graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.controllers.base import Controller
 from repro.controllers.caladan import CaladanController, CaladanParams
-from repro.controllers.horizontal import HorizontalAutoscaler, HpaParams
+from repro.controllers.horizontal import HorizontalAutoscaler, HpaParams, HybridController
 from repro.controllers.lsram import LsramController, LsramParams
 from repro.controllers.ml_central import CentralizedMLController, MLParams
 from repro.controllers.null import NullController
 from repro.controllers.parties import PartiesController, PartiesParams
 from repro.controllers.statuscale import StatuScaleController, StatuScaleParams
+from repro.core.config import SurgeGuardConfig
+from repro.core.surgeguard import SurgeGuardController
 
-__all__ = ["ControllerSpec", "available_specs", "register_controller", "spec"]
-
-
-#: name -> builder taking the spec's keyword params.
-_REGISTRY: Dict[str, Callable[..., Controller]] = {}
+__all__ = ["ControllerSpec", "available_specs", "spec"]
 
 
-def register_controller(name: str, builder: Callable[..., Controller]) -> None:
-    """Register ``builder`` under ``name`` (idempotent re-registration
-    with the same builder is allowed; silently replacing a different one
-    is not — that would make specs resolve differently across processes).
-    """
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not builder:
-        raise ValueError(f"controller spec {name!r} already registered")
-    _REGISTRY[name] = builder
+def _escalator_config(**kw: Any) -> SurgeGuardConfig:
+    """SurgeGuard slow path only (FirstResponder off): the Fig. 10/15 arms."""
+    return SurgeGuardConfig(firstresponder=False, **kw)
+
+
+#: name -> (controller class, its parameter type or ``None`` when it
+#: takes none).  ``hybrid``'s parameters tune its HPA half.
+_SPECS: Dict[str, Tuple[Callable[..., Controller], Optional[Callable[..., Any]]]] = {
+    "null": (NullController, None),
+    "parties": (PartiesController, PartiesParams),
+    "caladan": (CaladanController, CaladanParams),
+    "ml-central": (CentralizedMLController, MLParams),
+    "hpa": (HorizontalAutoscaler, HpaParams),
+    "hybrid": (HybridController, HpaParams),
+    "surgeguard": (SurgeGuardController, SurgeGuardConfig),
+    "escalator": (SurgeGuardController, _escalator_config),
+    "statuscale": (StatuScaleController, StatuScaleParams),
+    "lsram": (LsramController, LsramParams),
+}
 
 
 def available_specs() -> Tuple[str, ...]:
-    """Registered spec names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Spec names, sorted."""
+    return tuple(sorted(_SPECS))
+
+
+def _lookup(name: str):
+    try:
+        return _SPECS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown controller spec {name!r}; known: {', '.join(available_specs())}"
+        ) from None
 
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """A named controller recipe: registry key + keyword parameters.
+    """A named controller recipe: table key + keyword parameters.
 
     ``params`` is a sorted tuple of ``(key, value)`` pairs so specs are
     hashable and order-insensitive; values must themselves be picklable
@@ -65,98 +82,13 @@ class ControllerSpec:
     name: str
     params: Tuple[Tuple[str, Any], ...] = field(default=())
 
-    def kwargs(self) -> Dict[str, Any]:
-        return dict(self.params)
-
     def __call__(self) -> Controller:
-        try:
-            builder = _REGISTRY[self.name]
-        except KeyError:
-            raise ValueError(
-                f"unknown controller spec {self.name!r}; "
-                f"known: {', '.join(available_specs())}"
-            ) from None
-        return builder(**dict(self.params))
+        cls, params = _lookup(self.name)
+        kw = dict(self.params)
+        return cls(**kw) if params is None else cls(params(**kw))
 
 
 def spec(name: str, **params: Any) -> ControllerSpec:
     """Build a :class:`ControllerSpec`, validating the name eagerly."""
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown controller spec {name!r}; known: {', '.join(available_specs())}"
-        )
+    _lookup(name)
     return ControllerSpec(name, tuple(sorted(params.items())))
-
-
-# --------------------------------------------------------------------------
-# Built-in specs.  Params route into each controller's parameter dataclass
-# (or SurgeGuardConfig), so any knob those expose is addressable by name.
-# --------------------------------------------------------------------------
-
-
-def _build_null() -> Controller:
-    return NullController()
-
-
-def _build_parties(**kw: Any) -> Controller:
-    return PartiesController(PartiesParams(**kw)) if kw else PartiesController()
-
-
-def _build_caladan(**kw: Any) -> Controller:
-    return CaladanController(CaladanParams(**kw)) if kw else CaladanController()
-
-
-def _build_ml_central(**kw: Any) -> Controller:
-    return (
-        CentralizedMLController(MLParams(**kw))
-        if kw
-        else CentralizedMLController()
-    )
-
-
-def _build_hpa(**kw: Any) -> Controller:
-    return HorizontalAutoscaler(HpaParams(**kw)) if kw else HorizontalAutoscaler()
-
-
-def _build_statuscale(**kw: Any) -> Controller:
-    return (
-        StatuScaleController(StatuScaleParams(**kw))
-        if kw
-        else StatuScaleController()
-    )
-
-
-def _build_lsram(**kw: Any) -> Controller:
-    return LsramController(LsramParams(**kw)) if kw else LsramController()
-
-
-def _build_hybrid(**kw: Any) -> Controller:
-    """HPA + SurgeGuard side by side (§VII); kwargs tune the HPA half."""
-    from repro.controllers.horizontal import HybridController
-
-    return HybridController(HpaParams(**kw)) if kw else HybridController()
-
-
-def _build_surgeguard(**kw: Any) -> Controller:
-    from repro.core import SurgeGuardConfig, SurgeGuardController
-
-    return SurgeGuardController(SurgeGuardConfig(**kw))
-
-
-def _build_escalator(**kw: Any) -> Controller:
-    """SurgeGuard slow path only (FirstResponder off) — Fig. 10/15 arms."""
-    from repro.core import SurgeGuardConfig, SurgeGuardController
-
-    return SurgeGuardController(SurgeGuardConfig(firstresponder=False, **kw))
-
-
-register_controller("null", _build_null)
-register_controller("parties", _build_parties)
-register_controller("caladan", _build_caladan)
-register_controller("ml-central", _build_ml_central)
-register_controller("hpa", _build_hpa)
-register_controller("hybrid", _build_hybrid)
-register_controller("surgeguard", _build_surgeguard)
-register_controller("escalator", _build_escalator)
-register_controller("statuscale", _build_statuscale)
-register_controller("lsram", _build_lsram)

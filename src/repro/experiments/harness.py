@@ -5,9 +5,10 @@ The paper's §V protocol, scaled:
 * the workload generator warms the system up, then measures;
 * spikes are injected on a fixed period during measurement;
 * per-container targets come from a separate low-load profiling pass
-  (2× measured averages — §IV "SurgeGuard Parameters");
-* the end-to-end QoS limit (wrk2 ``-qos``) is set relative to the
-  profiled low-load end-to-end latency;
+  at :data:`PROFILE_RATE_FRAC` of the base rate (2× measured averages —
+  §IV "SurgeGuard Parameters");
+* the end-to-end QoS limit (wrk2 ``-qos``) is :data:`QOS_MULTIPLIER` ×
+  the profiled low-load end-to-end latency;
 * reported: violation volume, P98, average cores and energy over the
   measurement window only.
 
@@ -20,6 +21,7 @@ controller-independent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -50,6 +52,35 @@ __all__ = [
     "clear_profile_cache",
 ]
 
+#: QoS limit = this × profiled low-load mean end-to-end latency.
+QOS_MULTIPLIER = 2.5
+#: Profiling rate as a fraction of base rate ("low load").
+PROFILE_RATE_FRAC = 0.25
+
+_POSITIVE = ("finite and positive", lambda v: math.isfinite(v) and v > 0)
+_NON_NEGATIVE = ("finite and non-negative", lambda v: math.isfinite(v) and v >= 0)
+_FINITE = ("finite", math.isfinite)
+
+#: ``(field, (rule, check), None allowed)`` for the numeric fields of
+#: :class:`ExperimentConfig`.
+_NUMERIC_RULES = (
+    # An empty window would summarize to a VV of 0.0, which reads as a
+    # perfect result; negative lengths fail deep inside the run.
+    ("duration", _POSITIVE, False),
+    ("profile_duration", _POSITIVE, False),
+    ("warmup", _NON_NEGATIVE, False),
+    ("drain", _NON_NEGATIVE, False),
+    # A zero rate leaves the profiling pass no warm completion, and a
+    # NaN budget turns the node budget off.
+    ("base_rate", _POSITIVE, True),
+    ("cores_per_node", _POSITIVE, True),
+    # A non-finite period or offset silently injects one surge or none.
+    ("spike_magnitude", _NON_NEGATIVE, True),
+    ("spike_len", _POSITIVE, False),
+    ("spike_period", _POSITIVE, False),
+    ("spike_offset", _FINITE, False),
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -57,12 +88,10 @@ class ExperimentConfig:
 
     #: Registry key ("chain", "readUserTimeline", ...).
     workload: str
-    #: Builds a *fresh* controller per run.  Prefer a named, picklable
-    #: :class:`repro.exec.specs.ControllerSpec` (itself a zero-arg
-    #: callable, resolved against the spec registry inside worker
-    #: processes) — required for parallel execution via
-    #: ``run_cell(jobs>1)``.  Bare callables remain accepted for
-    #: in-process use (tests, one-off oracles with rich arguments).
+    #: Builds a *fresh* controller per run.  Prefer a named
+    #: :class:`repro.exec.specs.ControllerSpec` (a zero-arg callable
+    #: that compares, hashes and prints by value); any other zero-arg
+    #: callable works too (tests, one-off oracles with rich arguments).
     controller_factory: Callable[[], Controller] = NullController
     #: Custom application (Fig. 4/5 micro-topologies); overrides
     #: ``workload`` lookup when set, in which case ``base_rate`` is
@@ -88,17 +117,8 @@ class ExperimentConfig:
     cores_per_node: Optional[float] = None
     placement: str = "round_robin"
     seed: int = 1
-    #: QoS limit = this × profiled low-load mean end-to-end latency.
-    qos_multiplier: float = 2.5
-    #: Per-container targets = this × profiled averages (paper: 2).
-    target_multiplier: float = 2.0
-    #: Per-packet progress target (expectedTimeFromStart) multiplier —
-    #: looser than the window-average targets (see TargetConfig).
-    tfs_multiplier: float = 4.0
     #: Low-load profiling pass length (simulated seconds).
     profile_duration: float = 3.0
-    #: Profiling rate as a fraction of base rate ("low load").
-    profile_rate_frac: float = 0.25
     pacing: str = "uniform"
     #: Extra simulated time after injection stops, to drain in-flight
     #: requests before reading final metrics.
@@ -127,18 +147,19 @@ class ExperimentConfig:
     network: Optional[NetworkConfig] = None
 
     def __post_init__(self) -> None:
-        # An empty window would summarize to a VV of 0.0, which reads as
-        # a perfect result; negative lengths fail deep inside the run.
-        for name in ("duration", "profile_duration"):
+        for name, (rule, ok), optional in _NUMERIC_RULES:
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("warmup", "drain"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"{name} must be finite and non-negative, got {value!r}"
-                )
+            if not (value is None and optional) and not ok(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
+        if self.spike_len > self.spike_period:
+            raise ValueError(
+                f"spike_len must be <= spike_period, got "
+                f"{self.spike_len!r} > {self.spike_period!r}"
+            )
+        # A negative seed fails inside numpy, with a message that does
+        # not name the field.
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # Topology fields are otherwise read only when the run starts
         # (or, for placement on one node, never).
         for name in ("n_nodes", "replicas", "replica_capacity"):
@@ -257,7 +278,7 @@ def profile_targets(cfg: ExperimentConfig) -> TargetConfig:
     """Low-load profiling pass → :class:`TargetConfig` (memoized).
 
     The cache key covers everything that changes the profiled values:
-    workload, topology, rates, and the multipliers.
+    workload, topology and rate.
     """
     key = (
         cfg.workload,
@@ -266,11 +287,7 @@ def profile_targets(cfg: ExperimentConfig) -> TargetConfig:
         cfg.cores_per_node,
         cfg.placement,
         cfg.resolved_rate(),
-        cfg.profile_rate_frac,
         cfg.profile_duration,
-        cfg.qos_multiplier,
-        cfg.target_multiplier,
-        cfg.tfs_multiplier,
         # Jitter/latency parameters change the profiled latencies.
         cfg.network,
     )
@@ -283,7 +300,7 @@ def profile_targets(cfg: ExperimentConfig) -> TargetConfig:
     # deploys.
     one = replace(cfg, replicas=1, replica_capacity=1)
     sim, cluster = _build_cluster(one, app, seed=0)
-    rate = cfg.resolved_rate() * cfg.profile_rate_frac
+    rate = cfg.resolved_rate() * PROFILE_RATE_FRAC
     client = OpenLoopClient(
         sim, cluster, RateSchedule(rate), duration=cfg.profile_duration
     )
@@ -291,10 +308,14 @@ def profile_targets(cfg: ExperimentConfig) -> TargetConfig:
     sim.run(until=cfg.profile_duration + 1.0)
 
     t, lat = client.stats.completed_arrays()
-    if lat.size == 0:
-        raise RuntimeError(f"profiling produced no completions for {cfg.workload}")
-    warm = t > cfg.profile_duration / 3.0
-    qos = cfg.qos_multiplier * float(lat[warm].mean())
+    warm = lat[t > cfg.profile_duration / 3.0]
+    if warm.size == 0:
+        # Its mean would be a NaN QoS limit, which no latency violates.
+        raise RuntimeError(
+            f"profiling produced no completions for {cfg.workload} "
+            "after its first third"
+        )
+    qos = QOS_MULTIPLIER * float(warm.mean())
 
     # The whole-run averages per container are exactly what the artifact
     # computes ("collect the values for 1–2 mins and average").
@@ -303,12 +324,7 @@ def profile_targets(cfg: ExperimentConfig) -> TargetConfig:
         if runtime.total_count == 0:
             raise RuntimeError(f"service {name!r} saw no profiling traffic")
         windows[name] = _lifetime_window(runtime)
-    targets = TargetConfig.from_windows(
-        windows,
-        multiplier=cfg.target_multiplier,
-        tfs_multiplier=cfg.tfs_multiplier,
-        qos_target=qos,
-    )
+    targets = TargetConfig.from_windows(windows, qos_target=qos)
     _PROFILE_CACHE[key] = targets
     return targets
 

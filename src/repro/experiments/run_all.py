@@ -78,12 +78,12 @@ def _rows_of(result) -> List[dict]:
     return rows
 
 
-def _driver(module: str, fn: str = "main", data_fn: str | None = None):
+def _driver(module: str, data_fn: str | None = None):
     def run(out_dir: str | None, name: str) -> None:
         mod = __import__(f"repro.experiments.{module}", fromlist=["*"])
         if data_fn is None:
             # Modules whose result is inherently presentational.
-            getattr(mod, fn)()
+            mod.main()
             return
         result = getattr(mod, data_fn)()  # run the experiment exactly once
         rows = _rows_of(result)
@@ -118,7 +118,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-#: name -> runner.  data_fn (when set) also exports CSV.
+#: name -> runner.  data_fn (when set) also exports CSV; otherwise the
+#: module's ``main()`` prints its own result.
 EXPERIMENTS: Dict[str, Callable] = {
     "table1": _driver("table1_controllers", data_fn="run_table1"),
     "table3": _driver("table3_workloads", data_fn="run_table3"),

@@ -48,15 +48,18 @@ class _Call:
     """State of one logical RPC call across its attempts.
 
     It keeps the request's fields, not the packet: once sent, a packet
-    belongs to the network and the server, which release it.
+    belongs to the network and the server, which release it.  Every
+    attempt's reply continuation is the bound :meth:`reply`, never a
+    closure per attempt.
     """
 
     __slots__ = (
-        "request_id", "src", "dst", "start_time", "upscale",
+        "caller", "request_id", "src", "dst", "start_time", "upscale",
         "on_reply", "attempt", "timer", "done",
     )
 
-    def __init__(self, pkt: RpcPacket, on_reply):
+    def __init__(self, caller: "RpcCaller", pkt: RpcPacket, on_reply):
+        self.caller = caller
         self.request_id = pkt.request_id
         self.src = pkt.src
         #: The address the caller chose (a service name under the LB
@@ -69,6 +72,10 @@ class _Call:
         #: Pending timeout *or* backoff event (at most one at a time).
         self.timer: Optional[EventHandle] = None
         self.done = False
+
+    def reply(self, resp: RpcPacket) -> None:
+        """Reply continuation of every attempt of this call."""
+        self.caller._on_reply(self, resp)
 
     def retry_packet(self, pool: PacketPool) -> RpcPacket:
         """A fresh pooled request for the next attempt of this call."""
@@ -129,14 +136,14 @@ class RpcCaller:
         """
         self.calls += 1
         self.open_calls += 1
-        self._attempt(_Call(pkt, on_reply), pkt)
+        self._attempt(_Call(self, pkt, on_reply), pkt)
 
     # ------------------------------------------------------------ internals
     def _attempt(self, call: _Call, pkt: RpcPacket) -> None:
         call.attempt += 1
         if call.attempt > self.max_attempts_observed:
             self.max_attempts_observed = call.attempt
-        pkt.context = lambda resp: self._on_reply(call, resp)
+        pkt.context = call.reply
         call.timer = self.sim.schedule(self.policy.timeout, self._on_timeout, call)
         self.network.send(pkt)
 

@@ -11,14 +11,16 @@ the unit-rate transform (``advance(t, Exp(1))``).
 
 Each arrival is its own event: the fired arrival inverts the rate
 schedule once (``advance``) to place its successor, so arrival
-generation adds exactly one heap entry per in-flight client.
+generation adds exactly one heap entry per in-flight client.  Every
+response goes to one bound handler, which finds the request's arrival
+time by its id (the arrival index), so no closure is built per request.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -86,15 +88,12 @@ class OpenLoopClient:
         The simulation and the deployed application.
     schedule:
         Rate function (base + spikes).
-    start, duration:
-        Injection window: requests are injected in ``[start, start+duration)``.
+    duration:
+        Injection window: requests are injected in ``[0, duration)``.
     pacing:
         ``"uniform"`` (wrk2 constant pacing, default) or ``"poisson"``.
     rng:
         Required for Poisson pacing.
-    on_complete:
-        Optional callback ``(request_index, arrival_t, latency)`` per
-        completion — used by figure scripts for live timelines.
     """
 
     def __init__(
@@ -103,11 +102,9 @@ class OpenLoopClient:
         cluster: Cluster,
         schedule: RateSchedule,
         *,
-        start: float = 0.0,
         duration: float,
         pacing: str = "uniform",
         rng: Optional[np.random.Generator] = None,
-        on_complete: Optional[Callable[[int, float, float], None]] = None,
     ):
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -118,11 +115,9 @@ class OpenLoopClient:
         self.sim = sim
         self.cluster = cluster
         self.schedule = schedule
-        self.start = start
-        self.end = start + duration
+        self.end = duration
         self.pacing = pacing
         self.rng = rng
-        self.on_complete = on_complete
         self.stats = ClientStats()
         self._next_id = 0
         self._started = False
@@ -141,7 +136,7 @@ class OpenLoopClient:
         # a fresh exponential gap (memorylessness makes either choice
         # statistically equivalent, the immediate start keeps counts
         # exactly rate × duration under uniform pacing).
-        first = self.start if self._uniform else self._next_arrival(self.start)
+        first = 0.0 if self._uniform else self._next_arrival(0.0)
         if first < self.end:
             self.sim.schedule_at(first, self._fire)
 
@@ -159,25 +154,21 @@ class OpenLoopClient:
         stats.arrival_times.append(now)
         stats.latencies.append(float("nan"))
         stats.sent += 1
-        self._send(idx, self._make_callback(idx, now))
+        self._send(idx, self._on_response)
         nxt = self._next_arrival(now)
         if nxt < self.end:
             self.sim.schedule_at(nxt, self._fire)
 
-    def _make_callback(self, idx: int, arrival: float):
-        def cb(pkt: Optional[RpcPacket]) -> None:
-            if pkt is None or pkt.error:
-                # The client→root call was exhausted (no response ever
-                # arrived), or the root completed the request as an
-                # error.  Recorded in the error ledger, not latency.
-                self.stats.errored += 1
-                return
-            latency = self.sim.now - arrival
-            # Direct slot write into the latency column: the nan placed
-            # at injection time is overwritten in place.
-            self.stats.latencies[idx] = latency
-            self.stats.completed += 1
-            if self.on_complete is not None:
-                self.on_complete(idx, arrival, latency)
-
-        return cb
+    def _on_response(self, pkt: Optional[RpcPacket]) -> None:
+        stats = self.stats
+        if pkt is None or pkt.error:
+            # The client→root call was exhausted (no response ever
+            # arrived), or the root completed the request as an error.
+            # Recorded in the error ledger, not latency.
+            stats.errored += 1
+            return
+        idx = pkt.request_id
+        # Direct slot write into the latency column: the nan placed at
+        # injection time is overwritten in place.
+        stats.latencies[idx] = self.sim.now - stats.arrival_times[idx]
+        stats.completed += 1

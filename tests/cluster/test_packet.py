@@ -70,7 +70,7 @@ class TestMakeResponse:
 class TestRetryPacket:
     def test_fresh_send_time_and_context(self):
         pkt = mk()
-        call = _Call(pkt, None)
+        call = _Call(None, pkt, None)
         pkt.send_time = 4.0  # what the network does to the first attempt
         pkt.context = object()
         retry = call.retry_packet(pool())
@@ -83,7 +83,7 @@ class TestRetryPacket:
         # replica it picked; the retry goes to the name the caller chose,
         # so it is resolved afresh.
         pkt = mk()
-        call = _Call(pkt, None)
+        call = _Call(None, pkt, None)
         pkt.dst = "b@1"
         assert call.retry_packet(pool()).dst == "b"
 
@@ -160,7 +160,7 @@ class TestFieldLedger:
         "make_response": lambda pool, p: pool.make_response(
             p, src="callee", error=True
         ),
-        "retry": lambda pool, p: _Call(p, None).retry_packet(pool),
+        "retry": lambda pool, p: _Call(None, p, None).retry_packet(pool),
     }
 
     def dirty_pool(self):

@@ -60,3 +60,30 @@ class TestFromWindows:
                 expected_time_from_start={"a": 1.0},
                 qos_target=1.0,
             )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+class TestNonFiniteRejected:
+    """``v <= 0`` alone lets NaN through, and a NaN limit is one that no
+    latency ever violates."""
+
+    def test_qos_target(self, bad):
+        with pytest.raises(ValueError, match="^qos_target must be finite"):
+            TargetConfig.from_windows({"a": window()}, qos_target=bad)
+
+    @pytest.mark.parametrize(
+        "field", ["expected_exec_metric", "expected_exec_time", "expected_time_from_start"]
+    )
+    def test_per_container_target(self, bad, field):
+        targets = {
+            "expected_exec_metric": {"a": 1.0},
+            "expected_exec_time": {"a": 1.0},
+            "expected_time_from_start": {"a": 1.0},
+        }
+        targets[field] = {"a": bad}
+        with pytest.raises(ValueError, match=rf"^{field}\['a'\] must be finite"):
+            TargetConfig(**targets, qos_target=1.0)
+
+    def test_multiplier(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TargetConfig.from_windows({"a": window()}, multiplier=bad, qos_target=0.1)

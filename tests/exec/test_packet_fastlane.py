@@ -92,7 +92,6 @@ class TestBitIdenticalToSeedPath:
         clear_profile_cache()
         cell = run_cell(
             _cell_config(workload, **want.get("config", {})),
-            jobs=1,
             keep_runs=True,
         )
         # Exact equality on purpose: the fast lane promises bit-identical

@@ -29,7 +29,7 @@ def _run_golden_cell(key: str) -> None:
     workload = want.get("workload", key)
     clear_profile_cache()
     cell = run_cell(
-        _cell_config(workload, **want.get("config", {})), jobs=1, keep_runs=True
+        _cell_config(workload, **want.get("config", {})), keep_runs=True
     )
     assert cell.violation_volume == want["violation_volume"]
     assert cell.p98 == want["p98"]

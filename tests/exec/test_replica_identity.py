@@ -20,7 +20,7 @@ def _run_golden_with_policy(key: str, lb_policy: str) -> None:
     workload = want.get("workload", key)
     clear_profile_cache()
     cfg = _cell_config(workload, lb_policy=lb_policy, **want.get("config", {}))
-    cell = run_cell(cfg, jobs=1, keep_runs=True)
+    cell = run_cell(cfg, keep_runs=True)
     assert cell.violation_volume == want["violation_volume"]
     assert cell.p98 == want["p98"]
     assert [

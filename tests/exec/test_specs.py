@@ -1,4 +1,4 @@
-"""Tests for the named controller-spec registry."""
+"""Tests for the named controller-spec table."""
 
 import pickle
 
@@ -6,12 +6,7 @@ import pytest
 
 from repro.controllers.parties import PartiesController
 from repro.core.surgeguard import SurgeGuardController
-from repro.exec.specs import (
-    ControllerSpec,
-    available_specs,
-    register_controller,
-    spec,
-)
+from repro.exec.specs import ControllerSpec, available_specs, spec
 
 
 class TestSpecConstruction:
@@ -116,13 +111,3 @@ class TestZooSpecs:
         with pytest.raises(TypeError):
             s()
 
-
-class TestRegistry:
-    def test_conflicting_reregistration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_controller("parties", lambda: PartiesController())
-
-    def test_same_builder_reregistration_is_idempotent(self):
-        from repro.exec import specs as mod
-
-        register_controller("parties", mod._build_parties)  # no raise

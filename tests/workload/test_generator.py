@@ -3,9 +3,26 @@
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import CLIENT
+from repro.cluster.packet import RESPONSE
 from repro.workload.arrivals import RateSchedule, Spike
 from repro.workload.generator import OpenLoopClient
 from tests.conftest import make_chain_app
+
+
+def tap_first_responses(sim, cluster):
+    """request id -> (error, arrival, latency) of the first response to
+    reach the client: a record kept apart from the client's buffers."""
+    first = {}
+
+    def tap(pkt):
+        if pkt.kind == RESPONSE and pkt.dst == CLIENT:
+            first.setdefault(
+                pkt.request_id, (pkt.error, pkt.start_time, sim.now - pkt.start_time)
+            )
+
+    cluster.network.add_observer(tap)
+    return first
 
 
 @pytest.fixture
@@ -83,18 +100,16 @@ class TestStats:
         sim.run(until=1.0)  # stop before anything finishes
         assert client.stats.outstanding > 0
 
-    def test_on_complete_callback(self, sim, cluster):
-        seen = []
-        client = OpenLoopClient(
-            sim,
-            cluster,
-            RateSchedule(10.0),
-            duration=0.5,
-            on_complete=lambda i, t, l: seen.append(i),
-        )
+    def test_each_response_fills_its_own_row(self, sim, cluster):
+        first = tap_first_responses(sim, cluster)
+        client = OpenLoopClient(sim, cluster, RateSchedule(10.0), duration=0.5)
         client.begin()
         sim.run(until=2.0)
-        assert seen == list(range(5))
+        stats = client.stats
+        assert stats.sent == stats.completed == 5
+        assert sorted(first) == list(range(5))
+        assert list(stats.arrival_times) == [first[i][1] for i in range(5)]
+        assert list(stats.latencies) == [first[i][2] for i in range(5)]
 
     def test_double_begin_rejected(self, sim, cluster):
         client = OpenLoopClient(sim, cluster, RateSchedule(10.0), duration=1.0)
@@ -177,22 +192,20 @@ class TestBufferMatchesListImplementation:
             rpc=RpcPolicy(timeout=20e-3, max_retries=1, backoff_base=2e-3),
         )
         FaultInjector(plan).arm(sim, cluster)
-        seen = []  # (idx, arrival, latency) — independent of the buffers
-        client = OpenLoopClient(
-            sim,
-            cluster,
-            RateSchedule(400.0),
-            duration=0.3,
-            on_complete=lambda i, t, l: seen.append((i, t, l)),
-        )
+        first = tap_first_responses(sim, cluster)
+        client = OpenLoopClient(sim, cluster, RateSchedule(400.0), duration=0.3)
         client.begin()
         sim.run(until=0.306)  # cut off with calls still in flight
         stats = client.stats
         assert stats.errored > 0, "loss window produced no errors"
         assert stats.outstanding > 0, "nothing left outstanding at cutoff"
         got_t, got_lat = stats.completed_arrays()
-        seen.sort()  # injection order == arrival-time order
-        assert np.array_equal(got_t, np.array([t for _, t, _ in seen]))
-        assert np.array_equal(got_lat, np.array([l for _, _, l in seen]))
+        # A completed request's latency is its first response's: the
+        # call latches it, and a later duplicate is dropped.
+        done = [i for i, lat in enumerate(stats.latencies) if not np.isnan(lat)]
+        want = [first[i] for i in done]  # injection order == arrival-time order
+        assert not any(error for error, _, _ in want)
+        assert np.array_equal(got_t, np.array([t for _, t, _ in want]))
+        assert np.array_equal(got_lat, np.array([l for _, _, l in want]))
         nan_rows = int(np.isnan(stats.latencies).sum())
         assert nan_rows == stats.errored + stats.outstanding
