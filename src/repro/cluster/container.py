@@ -31,6 +31,16 @@ are both unchanged, in which case the pending event is provably still
 exact and is kept (the common case for arrivals under ``c ≥ n`` and for
 pure accounting syncs).
 
+A phase that finishes on its completion tick costs that one event: the
+tick runs the continuations (``done(*args)``) of the phases it
+finished itself, in finish order, after its step has updated the
+container.  A phase can also finish off the tick — a ``submit`` of zero
+or sub-epsilon work, or a ``set_*`` / ``sync`` landing exactly on a
+completion.  Then the caller is still mid-call and a continuation may
+re-enter ``submit`` / ``set_cores``, so the continuation waits for a
+zero-delay event of its own: no continuation ever runs inside
+``submit``, a ``set_*`` call or ``sync``.
+
 Energy bookkeeping (allocated core-seconds, busy core-seconds, and the
 f³-weighted busy integral that
 :func:`repro.experiments.harness.run_experiment` turns into joules) is
@@ -236,8 +246,9 @@ class Container:
 
     # -------------------------------------------------------------- compute
     def submit(self, work_cycles: float, done: Callable[..., None], *args: Any) -> int:
-        """Start a compute phase of ``work_cycles``; ``done(*args)`` fires on finish.
+        """Start a compute phase of ``work_cycles``; ``done(*args)`` runs on finish.
 
+        It runs from the completion tick that finishes the phase.
         Zero-work phases complete via a scheduled zero-delay event (never
         synchronously) so callers can rely on uniform re-entrancy rules.
         """
@@ -265,14 +276,18 @@ class Container:
         freq: Optional[float] = None,
         speed: Optional[float] = None,
         kill: bool = False,
-    ) -> None:
+        tick: bool = False,
+    ) -> Tuple[_Job, ...]:
         """One processor-sharing step at the current time.
 
         Integrates progress and accounting from ``_last_t`` to now under
         the settings in force since then, applies the new ``cores`` /
         ``freq`` / ``speed`` (``None`` keeps one), admits ``job``, and
         (re-)issues the next-completion event.  ``kill`` discards every
-        job after the accounting, without firing callbacks.
+        job after the accounting, without firing callbacks.  Returns the
+        finished jobs in finish order; their continuations are scheduled
+        as zero-delay events unless ``tick`` says the caller (the
+        completion tick) runs them itself.
 
         A single pass over the jobs burns the progress, collects the
         finished ones (within epsilon) and picks the winner.  The burn
@@ -344,19 +359,22 @@ class Container:
                 winner = job
         if finished:
             self.completed_jobs += len(finished)
-            # Callbacks may re-enter submit()/set_cores(); schedule the
-            # continuation work as zero-delay events to keep a single,
-            # predictable re-entrancy discipline.
+            # Continuations may re-enter submit()/set_cores().  Off the
+            # tick, the caller (an invocation's submit, a controller's
+            # set_cores) is still mid-call, so each one waits for a
+            # zero-delay event of its own; the tick runs them itself
+            # once this step is complete (_on_tick).
             for j in finished:
                 del jobs[j.jid]
-                sim.schedule_at(now, j.done, *j.args)
+                if not tick:
+                    sim.schedule_at(now, j.done, *j.args)
 
         pending = self._next
         if not jobs:
             if pending is not None:
                 pending.cancel()
                 self._next = None
-            return
+            return finished
         share = self._cores / len(jobs)
         # Positive: cores, frequency and speed factor are validated positive.
         rate = self._peak_rate * (share if share < 1.0 else 1.0)
@@ -366,16 +384,20 @@ class Container:
             and self._next_jid == winner.jid
             and self._next_rate == rate
         ):
-            return  # the pending event's fire time is unchanged
+            return finished  # the pending event's fire time is unchanged
         if pending is not None:
             pending.cancel()
         self._next = sim.schedule_at(now + min_rem / rate, self._tick)
         self._next_jid = winner.jid
         self._next_rate = rate
+        return finished
 
     def _on_tick(self) -> None:
         self._next = None
-        self._step()
+        # The step is complete before any continuation runs, so one that
+        # resubmits here sees the finished phases gone.
+        for j in self._step(tick=True):
+            j.done(*j.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -25,6 +25,13 @@ from repro.cluster.runtime import RuntimeWindow
 
 __all__ = ["TargetConfig"]
 
+#: The paper's slack factor on the profiled execMetric and execTime
+#: averages ("2× the measured averages").
+TARGET_MULTIPLIER = 2.0
+#: The looser factor on the profiled time-from-start average, the
+#: per-packet progress target FirstResponder checks.
+TFS_MULTIPLIER = 4.0
+
 
 class _ReplicaFallback(dict):
     """Per-container target dict that resolves replica endpoint names.
@@ -94,33 +101,28 @@ class TargetConfig:
         cls,
         windows: Mapping[str, RuntimeWindow],
         *,
-        multiplier: float = 2.0,
-        tfs_multiplier: float = 4.0,
         qos_target: float,
     ) -> "TargetConfig":
         """Build targets from one low-load profiling pass.
 
-        ``multiplier`` is the paper's 2× slack factor; the artifact notes
-        it can be changed for tighter or looser bounds.
-        ``tfs_multiplier`` applies to the per-packet progress target used
-        by FirstResponder; it is looser because per-request
-        time-from-start has far higher tail dispersion than windowed
-        execMetric averages — a tight bound makes the fast path fire on
-        ordinary steady-state tails (exactly the noise §IV-A's hold
-        window exists to damp).
+        The execMetric and execTime targets are :data:`TARGET_MULTIPLIER`
+        (the paper's 2×) × the profiled averages.  The per-packet
+        progress target used by FirstResponder is
+        :data:`TFS_MULTIPLIER` (4×) × the time-from-start average; it is
+        looser because per-request time-from-start has far higher tail
+        dispersion than windowed execMetric averages — a tight bound
+        makes the fast path fire on ordinary steady-state tails (exactly
+        the noise §IV-A's hold window exists to damp).
         """
-        for m in (multiplier, tfs_multiplier):
-            if not (math.isfinite(m) and m > 0):
-                raise ValueError(f"multipliers must be finite and positive, got {m!r}")
         exec_metric: Dict[str, float] = {}
         exec_time: Dict[str, float] = {}
         tfs: Dict[str, float] = {}
         for name, w in windows.items():
             if w.count == 0:
                 raise ValueError(f"profiling window for {name!r} saw no requests")
-            exec_metric[name] = multiplier * w.avg_exec_metric
-            exec_time[name] = multiplier * w.avg_exec_time
-            tfs[name] = tfs_multiplier * w.avg_time_from_start
+            exec_metric[name] = TARGET_MULTIPLIER * w.avg_exec_metric
+            exec_time[name] = TARGET_MULTIPLIER * w.avg_exec_time
+            tfs[name] = TFS_MULTIPLIER * w.avg_time_from_start
         return cls(
             expected_exec_metric=exec_metric,
             expected_exec_time=exec_time,

@@ -69,11 +69,6 @@ class SurgeGuardController(Controller):
         return sum(fr.packets_inspected for fr in self.firstresponders)
 
     @property
-    def fast_path_violations(self) -> int:
-        """Total per-packet slack violations detected."""
-        return sum(fr.violations_detected for fr in self.firstresponders)
-
-    @property
     def boosts_applied(self) -> int:
         """Total frequency boosts performed by the fast path."""
         return sum(fr.boosts_applied for fr in self.firstresponders)

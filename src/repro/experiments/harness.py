@@ -213,9 +213,10 @@ class ExperimentResult:
     #: change.
     freq_events: List[Tuple[float, str, float]] = field(default_factory=list)
     outstanding: int = 0
-    #: FirstResponder packet inspections (SurgeGuard runs only).
+    #: FirstResponder packet inspections (SurgeGuard and hybrid runs).
     fast_path_packets: int = 0
-    #: FirstResponder slack violations detected (SurgeGuard runs only).
+    #: FirstResponder slack violations detected (SurgeGuard and hybrid
+    #: runs).
     fast_path_violations: int = 0
     #: Requests that completed as errors (always 0 without faults).
     errors: int = 0
@@ -473,6 +474,8 @@ def run_experiment(
         energy += dvfs.static_w * (c.alloc_core_seconds - a0)
         energy += dvfs.dyn_w_at_fmax * (c.busy_weighted_seconds - b0)
 
+    # SurgeGuard's FirstResponders, or the hybrid's SurgeGuard half's.
+    responders = getattr(controller, "firstresponders", ())
     return ExperimentResult(
         config=cfg,
         controller_name=controller.name,
@@ -485,8 +488,8 @@ def run_experiment(
         alloc_events=list(cluster.alloc_events),
         freq_events=list(cluster.freq_events),
         outstanding=client.stats.outstanding,
-        fast_path_packets=getattr(controller, "packets_inspected", 0),
-        fast_path_violations=getattr(controller, "fast_path_violations", 0),
+        fast_path_packets=sum(fr.packets_inspected for fr in responders),
+        fast_path_violations=sum(fr.violations_detected for fr in responders),
         errors=client.stats.errored,
         requests_sent=client.stats.sent,
         fault_stats=fault_stats,

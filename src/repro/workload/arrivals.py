@@ -101,7 +101,19 @@ class RateSchedule:
 
         This is the §VI-B configuration ("injecting 2 s long request rate
         surges every 10 s ... surge rate 1.25×/1.5×/1.75× of base").
+        Every argument but ``base_rate`` must be finite: a NaN period or
+        start builds one spike or none, and an infinite ``until`` or
+        ``first = -inf`` would never finish the train.
         """
+        for name, value in (
+            ("magnitude", magnitude),
+            ("spike_len", spike_len),
+            ("period", period),
+            ("first", first),
+            ("until", until),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if magnitude < 0 or spike_len <= 0 or period <= 0:
             raise ValueError("invalid periodic spike parameters")
         if spike_len > period:

@@ -23,6 +23,7 @@ class TestSingleJob:
     def test_zero_work_completes_immediately(self, sim, container):
         done = []
         container.submit(0.0, lambda: done.append(sim.now))
+        assert done == []  # never synchronously: a zero-delay event
         sim.run()
         assert done == [pytest.approx(0.0)]
 
@@ -197,3 +198,51 @@ class TestConservation:
         # busy-core-seconds × frequency ≥ total work (equality when the
         # frequency never changes, as here).
         assert c.busy_core_seconds * 1.6e9 == pytest.approx(total_work, rel=1e-6)
+
+
+class TestCompletionRule:
+    """A completion tick runs the continuations of the phases it
+    finishes; a phase finished anywhere else waits for an event."""
+
+    def test_one_event_per_phase(self, sim, container):
+        fired, done = [], []
+        sim.trace_hook = lambda t, fn, args: fired.append(t)
+        container.submit(1.6e9, lambda: done.append(sim.now))
+        sim.run()
+        assert fired == [1.0]
+        assert done == fired
+        assert sim.events_fired == 1
+
+    def test_resubmit_from_the_tick_sees_the_finished_phase_gone(self, sim, dvfs):
+        # One core, two phases at half speed: the short one finishes at
+        # t=1 and its continuation resubmits, which shares the core with
+        # the long one's last 0.8e9 cycles until both finish at t=2.
+        c = Container(sim, "c", dvfs, cores=1.0, frequency=1.6e9)
+        seen, done = [], []
+
+        def post():
+            seen.append((sim.now, c.active_jobs))
+            c.submit(0.8e9, lambda: done.append(("post", sim.now)))
+
+        c.submit(0.8e9, post)
+        c.submit(1.6e9, lambda: done.append(("long", sim.now)))
+        sim.run()
+        assert seen == [(1.0, 1)]
+        assert done == [("long", 2.0), ("post", 2.0)]
+        assert sim.events_fired == 2  # the two ticks, nothing else
+
+    def test_set_cores_on_a_completion_defers_the_continuation(self, sim, dvfs):
+        c = Container(sim, "c", dvfs, cores=1.0, frequency=1.6e9)
+        log = []
+
+        def controller():
+            c.set_cores(2.0)
+            log.append(("set_cores returned", sim.now))
+
+        # Queued before the phase's tick, so the change lands first, at
+        # the instant the phase's work runs out.
+        sim.schedule_at(1.0, controller)
+        c.submit(1.6e9, lambda: log.append(("done", sim.now)))
+        sim.run()
+        assert log == [("set_cores returned", 1.0), ("done", 1.0)]
+        assert sim.events_fired == 2  # the controller's and the continuation's

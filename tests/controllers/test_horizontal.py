@@ -250,3 +250,21 @@ class TestHybrid:
             )
         )
         assert res.controller_stats.decision_cycles > 0
+
+    def test_hybrid_reports_its_fast_path(self):
+        """The result's fast-path counters are the SurgeGuard half's
+        FirstResponder totals, which the hybrid keeps one level down."""
+        built = []
+
+        def factory():
+            built.append(HybridController(HpaParams(interval=0.5, launch_delay=1.0)))
+            return built[-1]
+
+        res = run_experiment(mini_config(factory))
+        (hybrid,) = built
+        responders = hybrid.firstresponders
+        assert res.fast_path_packets > 0
+        assert res.fast_path_packets == sum(fr.packets_inspected for fr in responders)
+        assert res.fast_path_violations == sum(
+            fr.violations_detected for fr in responders
+        )

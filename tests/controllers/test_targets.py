@@ -29,24 +29,12 @@ class TestFromWindows:
         assert t.expected_exec_metric["a"] == pytest.approx(16e-3)
 
     def test_tfs_multiplier_independent(self):
-        t = TargetConfig.from_windows(
-            {"a": window()}, multiplier=2.0, tfs_multiplier=4.0, qos_target=0.1
-        )
+        t = TargetConfig.from_windows({"a": window()}, qos_target=0.1)
         assert t.expected_time_from_start["a"] == pytest.approx(20e-3)
-
-    def test_custom_multiplier(self):
-        t = TargetConfig.from_windows(
-            {"a": window()}, multiplier=3.0, qos_target=0.1
-        )
-        assert t.expected_exec_time["a"] == pytest.approx(30e-3)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="no requests"):
             TargetConfig.from_windows({"a": window(count=0)}, qos_target=0.1)
-
-    def test_invalid_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            TargetConfig.from_windows({"a": window()}, multiplier=0.0, qos_target=0.1)
 
     def test_invalid_qos_rejected(self):
         with pytest.raises(ValueError):
@@ -83,7 +71,3 @@ class TestNonFiniteRejected:
         targets[field] = {"a": bad}
         with pytest.raises(ValueError, match=rf"^{field}\['a'\] must be finite"):
             TargetConfig(**targets, qos_target=1.0)
-
-    def test_multiplier(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            TargetConfig.from_windows({"a": window()}, multiplier=bad, qos_target=0.1)

@@ -1,10 +1,15 @@
 """The fused processor-sharing step ≡ the two-pass reference model.
 
 The reference below is the container's earlier ``_advance`` /
-``_reschedule`` pair, kept verbatim as the specification: integrate
-progress and accounting, then collect finished jobs, pick the winner
-with a second scan, recompute the rate from the settings, and keep the
-pending completion only when winner and rate are both unchanged.
+``_reschedule`` pair, kept as the specification: integrate progress and
+accounting, then collect finished jobs, pick the winner with a second
+scan, recompute the rate from the settings, and keep the pending
+completion only when winner and rate are both unchanged.  It also
+states the completion rule: the completion tick calls the continuations
+of the jobs its own reschedule finished, in finish order, once that
+reschedule is done; every other step that finishes a job (a zero or
+sub-epsilon submit, a setting change or sync landing on a completion)
+schedules the continuation as a zero-delay event.
 Random programs of submit / ``set_cores`` / ``set_frequency`` /
 ``set_speed_factor`` / ``sync`` / ``crash`` at random times (some at
 equal times, some from inside completion callbacks) must produce the
@@ -128,21 +133,22 @@ class _ReferenceContainer:
         for job in self._jobs.values():
             job.remaining -= burned
 
-    def _reschedule(self):
+    def _reschedule(self, tick=False):
         jobs = self._jobs
         finished = [j for j in jobs.values() if j.remaining <= _EPS_CYCLES]
         if finished:
             for j in finished:
                 del jobs[j.jid]
             self.completed_jobs += len(finished)
-            for j in finished:
-                self.sim.schedule(0.0, j.done)
+            if not tick:
+                for j in finished:
+                    self.sim.schedule(0.0, j.done)
         pending = self._next
         if not jobs:
             if pending is not None:
                 pending.cancel()
                 self._next = None
-            return
+            return finished
         winner = None
         min_rem = math.inf
         for j in jobs.values():
@@ -156,17 +162,19 @@ class _ReferenceContainer:
             and self._next_jid == winner.jid
             and self._next_rate == rate
         ):
-            return
+            return finished
         if pending is not None:
             pending.cancel()
         self._next = self.sim.schedule(min_rem / rate, self._on_tick)
         self._next_jid = winner.jid
         self._next_rate = rate
+        return finished
 
     def _on_tick(self):
         self._next = None
         self._advance()
-        self._reschedule()
+        for j in self._reschedule(tick=True):
+            j.done()
 
 
 # Quantized values force ties (equal fire times, equal remaining work);

@@ -143,11 +143,23 @@ class TestNonFiniteRejected:
             Spike(*args)
 
     def test_infinite_periodic_magnitude(self):
-        with pytest.raises(ValueError, match="spike rate"):
+        with pytest.raises(ValueError, match="^magnitude must be finite"):
             RateSchedule.periodic(
                 10.0, magnitude=math.inf, spike_len=1.0, period=2.0,
                 first=0.0, until=4.0,
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["magnitude", "spike_len", "period", "first", "until"]
+    )
+    def test_periodic_field(self, field, bad):
+        # Unchecked, a NaN period builds one spike, a NaN first none,
+        # and until=inf (or first=-inf) never returns.
+        kwargs = dict(magnitude=2.0, spike_len=1.0, period=2.0, first=0.0, until=4.0)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            RateSchedule.periodic(10.0, **kwargs)
 
 
 class TestMeanRate:
