@@ -18,8 +18,9 @@ Beyond the paper, the **controller zoo** (DESIGN.md §11) reproduces
 related-work baselines as plugins consuming the same runtime metrics:
 
 * **StatuScale** (Wen et al., arXiv:2407.10173) — status-aware load
-  detection on a sliding latency window driving a correction-factor
-  vertical scaler;
+  detection on a sliding window of per-container CPU-usage samples,
+  driving a usage-headroom vertical sizer with a latency correction
+  factor on top;
 * **LSRAM** (Hu et al., arXiv:2411.11493) — per-service SLO resource
   allocation re-solved each cycle by projected gradient descent under
   the node core budget.
@@ -29,11 +30,11 @@ from repro.controllers.base import Controller, ControllerStats
 from repro.controllers.targets import TargetConfig
 from repro.controllers.null import NullController
 from repro.controllers.oracle import OracleController
-from repro.controllers.parties import PartiesController, PartiesParams
-from repro.controllers.caladan import CaladanController, CaladanParams
-from repro.controllers.lsram import LsramController, LsramParams
-from repro.controllers.ml_central import CentralizedMLController, MLParams
-from repro.controllers.statuscale import StatuScaleController, StatuScaleParams
+from repro.controllers.parties import PartiesController
+from repro.controllers.caladan import CaladanController
+from repro.controllers.lsram import LsramController
+from repro.controllers.ml_central import CentralizedMLController
+from repro.controllers.statuscale import StatuScaleController
 from repro.controllers.horizontal import (
     HorizontalAutoscaler,
     HpaParams,
@@ -42,7 +43,6 @@ from repro.controllers.horizontal import (
 
 __all__ = [
     "CaladanController",
-    "CaladanParams",
     "CentralizedMLController",
     "Controller",
     "ControllerStats",
@@ -50,13 +50,9 @@ __all__ = [
     "HpaParams",
     "HybridController",
     "LsramController",
-    "LsramParams",
-    "MLParams",
     "NullController",
     "OracleController",
     "PartiesController",
-    "PartiesParams",
     "StatuScaleController",
-    "StatuScaleParams",
     "TargetConfig",
 ]

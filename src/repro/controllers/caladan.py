@@ -22,44 +22,30 @@ CaladanAlgo allocates hyperthreads individually (0.5-core units, §V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.controllers.base import Controller, step_cores
 
-__all__ = ["CaladanController", "CaladanParams"]
+__all__ = ["CaladanController"]
 
-
-@dataclass(frozen=True)
-class CaladanParams:
-    """Tunables of the userspace Caladan port."""
-
-    #: Decision interval.  The real Caladan runs at 5–20 µs; the paper
-    #: notes the userspace port's interval "is far larger with the Linux
-    #: networking stack".  10 ms keeps it the fastest baseline while
-    #: remaining meaningful for window statistics.
-    interval: float = 0.01
-    #: queueBuildup above this ⇒ congestion ⇒ grant a hyperthread.
-    congestion_qb: float = 1.10
-    #: Consecutive idle intervals before yielding a hyperthread.
-    #: Caladan reclaims cores that go idle; the userspace port observes
-    #: idleness as average busy-core time leaving at least
-    #: ``yield_margin`` cores unused.
-    yield_patience: int = 20
-    #: Unused-core margin required before yielding (a full physical
-    #: core's worth of headroom must be demonstrably idle).
-    yield_margin: float = 1.0
-    #: Hyperthread granularity (§V: "allocate hyperthreads individually").
-    core_step: float = 0.5
-    min_cores: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if self.congestion_qb < 1.0:
-            raise ValueError("congestion_qb must be >= 1")
-        if self.yield_patience < 1:
-            raise ValueError("yield_patience must be >= 1")
+#: Decision interval.  The real Caladan runs at 5–20 µs; the paper notes
+#: the userspace port's interval "is far larger with the Linux
+#: networking stack".  10 ms keeps it the fastest baseline while
+#: remaining meaningful for window statistics.
+INTERVAL = 0.01
+#: queueBuildup above this ⇒ congestion ⇒ grant a hyperthread.
+CONGESTION_QB = 1.10
+#: Consecutive idle intervals before yielding a hyperthread.  Caladan
+#: reclaims cores that go idle; the userspace port observes idleness as
+#: average busy-core time leaving at least ``YIELD_MARGIN`` cores unused.
+YIELD_PATIENCE = 20
+#: Unused-core margin required before yielding (a full physical core's
+#: worth of headroom must be demonstrably idle).
+YIELD_MARGIN = 1.0
+#: Hyperthread granularity (§V: "allocate hyperthreads individually").
+CORE_STEP = 0.5
+#: Minimum cores a container may be squeezed to.
+MIN_CORES = 0.5
 
 
 class CaladanController(Controller):
@@ -67,14 +53,13 @@ class CaladanController(Controller):
 
     name = "caladan"
 
-    def __init__(self, params: Optional[CaladanParams] = None):
+    def __init__(self):
         super().__init__()
-        self.params = params or CaladanParams()
         self._idle_streak: Dict[str, int] = {}
         self._last_busy: Dict[str, float] = {}
 
     def loops(self):
-        return [(self.params.interval, self, "_decide")]
+        return [(INTERVAL, self, "_decide")]
 
     def _on_start(self) -> None:
         assert self.cluster is not None
@@ -86,27 +71,26 @@ class CaladanController(Controller):
     def _decide(self) -> None:
         assert self.cluster is not None
         self.stats.decision_cycles += 1
-        p = self.params
         for name, runtime in self.cluster.runtimes.items():
             window = runtime.collect()
             container = self.cluster.containers[name]
             container.sync()
             busy = container.busy_core_seconds
-            avg_busy = (busy - self._last_busy[name]) / p.interval
+            avg_busy = (busy - self._last_busy[name]) / INTERVAL
             self._last_busy[name] = busy
 
-            congested = window.count > 0 and window.queue_buildup > p.congestion_qb
+            congested = window.count > 0 and window.queue_buildup > CONGESTION_QB
             if congested:
                 self._idle_streak[name] = 0
-                step_cores(self.cluster, self.stats, name, p.core_step)
+                step_cores(self.cluster, self.stats, name, CORE_STEP)
                 continue
             # Yield: a full margin of cores was unused on average.
-            if avg_busy < container.cores - p.yield_margin:
+            if avg_busy < container.cores - YIELD_MARGIN:
                 self._idle_streak[name] += 1
-                if self._idle_streak[name] >= p.yield_patience:
+                if self._idle_streak[name] >= YIELD_PATIENCE:
                     self._idle_streak[name] = 0
                     step_cores(
-                        self.cluster, self.stats, name, -p.core_step, p.min_cores
+                        self.cluster, self.stats, name, -CORE_STEP, MIN_CORES
                     )
             else:
                 self._idle_streak[name] = 0

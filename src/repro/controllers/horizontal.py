@@ -24,36 +24,38 @@ and is what the §VII bench exercises.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cluster.loadbalancer import READY, WARMING
 from repro.controllers.base import Controller
-from repro.core.config import SurgeGuardConfig
 from repro.core.surgeguard import SurgeGuardController
 
 __all__ = ["HorizontalAutoscaler", "HpaParams", "HybridController"]
 
+#: Scale out when service utilization (busy / allocated over READY
+#: replicas) exceeds this.
+TARGET_UTILIZATION = 0.7
+#: Scale-in when utilization stays below this.
+SCALE_IN_UTILIZATION = 0.35
+#: Replica-count floor per service.
+MIN_REPLICAS = 1
+
 
 @dataclass(frozen=True)
 class HpaParams:
-    """Kubernetes-HPA-flavoured tunables."""
+    """Kubernetes-HPA-flavoured tunables the experiments set."""
 
     #: Evaluation period (HPA default: 15 s; scaled down with the rest
     #: of the experiments).
     interval: float = 2.0
-    #: Scale out when service utilization (busy / allocated over READY
-    #: replicas) exceeds this.
-    target_utilization: float = 0.7
     #: Replica launch + warm-up delay: the new replica holds its cores
     #: but receives no traffic until it lands.
     launch_delay: float = 3.0
-    #: Scale-in when utilization stays below this.
-    scale_in_utilization: float = 0.35
     #: Consecutive low-utilization periods before scale-in.
     scale_in_patience: int = 3
-    #: Replica-count bounds per service.
-    min_replicas: int = 1
+    #: Replica-count ceiling per service.
     max_replicas: int = 4
 
     def __post_init__(self) -> None:
@@ -66,10 +68,14 @@ class HpaParams:
                 "launch_delay must be finite and non-negative, "
                 f"got {self.launch_delay!r}"
             )
-        if not 0 < self.scale_in_utilization < self.target_utilization < 1:
-            raise ValueError("need 0 < scale_in < target < 1")
-        if not 1 <= self.min_replicas <= self.max_replicas:
-            raise ValueError("need 1 <= min_replicas <= max_replicas")
+        # ``streak >= nan`` is never true and ``len(ready) < 2.5`` admits
+        # a third replica, so both counts must be whole.
+        for name in ("scale_in_patience", "max_replicas"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
 
 
 class HorizontalAutoscaler(Controller):
@@ -101,11 +107,7 @@ class HorizontalAutoscaler(Controller):
         """busy-delta / capacity over one interval, summed over ``ready``.
 
         The per-replica busy baseline starts at first sight, so a replica
-        that just became READY contributes only its post-warm work.  The
-        per-replica delta is clamped at >= 0: a container whose integral
-        went backwards relative to the baseline (crash/restart fault
-        plans reset runtime state mid-window) must read as idle, not as
-        negative work cancelling the other replicas' utilization.
+        that just became READY contributes only its post-warm work.
         """
         busy = 0.0
         cores = 0.0
@@ -114,7 +116,7 @@ class HorizontalAutoscaler(Controller):
             c.sync()
             prev = self._last_busy.get(r.name, c.busy_core_seconds)
             self._last_busy[r.name] = c.busy_core_seconds
-            busy += max(c.busy_core_seconds - prev, 0.0)
+            busy += c.busy_core_seconds - prev
             cores += c.cores
         if cores <= 0:
             return 0.0
@@ -147,12 +149,12 @@ class HorizontalAutoscaler(Controller):
                 # utilization measured against not-yet-serving capacity).
                 self._low_streak[service] = 0
                 continue
-            if util > p.target_utilization and len(ready) < p.max_replicas:
+            if util > TARGET_UTILIZATION and len(ready) < p.max_replicas:
                 self._low_streak[service] = 0
                 if cluster.scale_out(service, ready_delay=p.launch_delay):
                     self.scale_outs += 1
                     self.stats.upscale_core_actions += 1
-            elif util < p.scale_in_utilization and len(ready) > p.min_replicas:
+            elif util < SCALE_IN_UTILIZATION and len(ready) > MIN_REPLICAS:
                 self._low_streak[service] += 1
                 if self._low_streak[service] >= p.scale_in_patience:
                     self._low_streak[service] = 0
@@ -176,14 +178,10 @@ class HybridController(Controller):
 
     name = "hpa+surgeguard"
 
-    def __init__(
-        self,
-        hpa_params: Optional[HpaParams] = None,
-        sg_config: Optional[SurgeGuardConfig] = None,
-    ):
+    def __init__(self, hpa_params: Optional[HpaParams] = None):
         super().__init__()
         self.hpa = HorizontalAutoscaler(hpa_params)
-        self.surgeguard = SurgeGuardController(sg_config)
+        self.surgeguard = SurgeGuardController()
 
     @property
     def escalators(self):

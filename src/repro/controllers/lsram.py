@@ -11,7 +11,7 @@ gradient descent**:
 
     minimize   Σ_i  max(0, a_i/c_i − SLO_i)²/SLO_i²  +  λ·Σ_i c_i
     subject to Σ_i c_i ≤ B   (per-node core budget),
-               c_i ≥ max(min_cores, demand_i · demand_margin)
+               c_i ≥ max(MIN_CORES, demand_i · DEMAND_MARGIN)
 
 The hinge term charges only SLO *violations* (normalized, so services
 with different SLOs are commensurable); the λ term is the energy
@@ -24,7 +24,7 @@ The allocation floor is the crucial stabilizer.  ``demand_i`` is the
 service's *measured* core consumption (busy-core delta per decision
 interval), probed multiplicatively upward while the service runs
 saturated — demand above the current allocation is unobservable, so a
-saturated service's floor grows by ``probe_growth`` per cycle until its
+saturated service's floor grows by ``PROBE_GROWTH`` per cycle until its
 usage falls back under the saturation threshold.  Floors keep both
 failure modes of a pure latency solve out:
 
@@ -61,14 +61,12 @@ projected starting point's) on synthetic models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.controllers.base import Controller, set_cores
 
 __all__ = [
     "LsramController",
-    "LsramParams",
     "lower_bounds",
     "objective",
     "project",
@@ -76,62 +74,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LsramParams:
-    """Tunables of the gradient-descent SLO allocator."""
-
-    #: Decision (re-solve) interval.
-    interval: float = 0.25
-    #: EWMA decay factor for the per-service pressure coefficient
-    #: ``a_i`` and demand estimate when the observation *falls* (1.0 =
-    #: trust only the latest window).  Rising observations are adopted
-    #: instantly — the processor-sharing model underestimates queueing
-    #: blow-up, so the allocator must never lag a congestion onset
-    #: behind an average.
-    smoothing: float = 0.4
-    #: SLO headroom: the solver targets ``slo_margin × SLO`` so the
-    #: model-mismatch around saturation (a/c is far too optimistic near
-    #: ρ→1) is absorbed as allocated slack instead of tail latency.
-    slo_margin: float = 0.7
-    #: Gradient-descent step size.
-    lr: float = 0.3
-    #: Gradient-descent iterations per solve (warm-started, so few).
-    iterations: int = 40
-    #: Energy pressure λ: marginal cost of one allocated core in the
-    #: objective, pulling satisfied services back toward their floors.
-    energy_weight: float = 0.02
-    #: Allocation floor per container.
-    min_cores: float = 0.5
-    #: Floor headroom over measured demand (see module docstring).
-    demand_margin: float = 1.5
-    #: usage/cores above this ⇒ the service is *saturated* and its true
-    #: demand is unobservable; probe upward instead of trusting usage.
-    sat_threshold: float = 0.85
-    #: Multiplicative demand probe applied to a saturated allocation.
-    probe_growth: float = 1.6
-    #: Actuation quantum: allocations move only in multiples of this
-    #: (and only when the solve moved a container at least one quantum).
-    quantum: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if not 0 < self.smoothing <= 1:
-            raise ValueError("smoothing must be in (0, 1]")
-        if not 0 < self.slo_margin <= 1:
-            raise ValueError("slo_margin must be in (0, 1]")
-        if self.lr <= 0 or self.iterations < 1:
-            raise ValueError("need lr > 0 and iterations >= 1")
-        if self.energy_weight < 0:
-            raise ValueError("energy_weight must be non-negative")
-        if self.min_cores <= 0 or self.quantum <= 0:
-            raise ValueError("min_cores and quantum must be positive")
-        if self.demand_margin < 1.0:
-            raise ValueError("demand_margin must be >= 1")
-        if not 0 < self.sat_threshold < 1:
-            raise ValueError("sat_threshold must be in (0, 1)")
-        if self.probe_growth <= 1.0:
-            raise ValueError("probe_growth must be > 1")
+#: Decision (re-solve) interval.
+INTERVAL = 0.25
+#: EWMA decay factor for the per-service pressure coefficient ``a_i``
+#: and demand estimate when the observation *falls* (1.0 = trust only
+#: the latest window).  Rising observations are adopted instantly — the
+#: processor-sharing model underestimates queueing blow-up, so the
+#: allocator must never lag a congestion onset behind an average.
+SMOOTHING = 0.4
+#: SLO headroom: the solver targets ``SLO_MARGIN × SLO`` so the
+#: model-mismatch around saturation (a/c is far too optimistic near
+#: ρ→1) is absorbed as allocated slack instead of tail latency.
+SLO_MARGIN = 0.7
+#: Gradient-descent step size.
+LR = 0.3
+#: Gradient-descent iterations per solve (warm-started, so few).
+ITERATIONS = 40
+#: Energy pressure λ: marginal cost of one allocated core in the
+#: objective, pulling satisfied services back toward their floors.
+ENERGY_WEIGHT = 0.02
+#: Allocation floor per container.
+MIN_CORES = 0.5
+#: Floor headroom over measured demand (see module docstring).
+DEMAND_MARGIN = 1.5
+#: usage/cores above this ⇒ the service is *saturated* and its true
+#: demand is unobservable; probe upward instead of trusting usage.
+SAT_THRESHOLD = 0.85
+#: Multiplicative demand probe applied to a saturated allocation.
+PROBE_GROWTH = 1.6
+#: Actuation quantum: allocations move only in multiples of this (and
+#: only when the solve moved a container at least one quantum).
+QUANTUM = 0.25
 
 
 def objective(
@@ -148,20 +121,18 @@ def objective(
     return total
 
 
-def lower_bounds(
-    demand: Sequence[float], budget: float, params: "LsramParams"
-) -> List[float]:
+def lower_bounds(demand: Sequence[float], budget: float) -> List[float]:
     """Per-service allocation floors: measured demand plus margin,
-    shrunk proportionally (above ``min_cores``) if the raw floors
+    shrunk proportionally (above ``MIN_CORES``) if the raw floors
     exceed the budget — the projection must always have a feasible set
     to land in, and on a modeled-infeasible node proportional best
     effort is the least-bad answer.
     """
-    lo = [max(params.min_cores, d * params.demand_margin) for d in demand]
+    lo = [max(MIN_CORES, d * DEMAND_MARGIN) for d in demand]
     excess = sum(lo) - budget
     if excess <= 0:
         return lo
-    slack = [x - params.min_cores for x in lo]
+    slack = [x - MIN_CORES for x in lo]
     total = sum(slack)
     if total <= 0:
         return lo
@@ -196,37 +167,36 @@ def solve_allocation(
     pressure: Sequence[float],
     slo: Sequence[float],
     budget: float,
-    params: LsramParams,
     lower: Optional[Sequence[float]] = None,
 ) -> List[float]:
     """Projected gradient descent from ``current``; returns a feasible
     allocation whose objective is no worse than ``project(current)``'s.
 
-    ``lower`` holds the per-service floors (``min_cores`` everywhere
+    ``lower`` holds the per-service floors (``MIN_CORES`` everywhere
     when omitted); callers must pass floors that fit the budget (see
     :func:`lower_bounds`) for the budget constraint to be satisfiable.
     Deterministic: fixed iteration count, no randomness, pure floats.
     """
     n = len(current)
     assert len(pressure) == n and len(slo) == n
-    lo = [params.min_cores] * n if lower is None else list(lower)
+    lo = [MIN_CORES] * n if lower is None else list(lower)
     assert len(lo) == n
     c = project(current, budget, lo)
     best = list(c)
-    best_f = objective(best, pressure, slo, params.energy_weight)
-    for _ in range(params.iterations):
+    best_f = objective(best, pressure, slo, ENERGY_WEIGHT)
+    for _ in range(ITERATIONS):
         grad = []
         for ci, a, s in zip(c, pressure, slo):
             v = max(0.0, a / ci - s) / s
             # d/dc [ max(0, a/c − s)²/s² ] = −2·v·a / (s·c²)
-            g = -2.0 * v * a / (s * ci * ci) + params.energy_weight
+            g = -2.0 * v * a / (s * ci * ci) + ENERGY_WEIGHT
             grad.append(g)
         c = project(
-            [ci - params.lr * g for ci, g in zip(c, grad)],
+            [ci - LR * g for ci, g in zip(c, grad)],
             budget,
             lo,
         )
-        f = objective(c, pressure, slo, params.energy_weight)
+        f = objective(c, pressure, slo, ENERGY_WEIGHT)
         if f < best_f:
             best_f = f
             best = list(c)
@@ -238,9 +208,8 @@ class LsramController(Controller):
 
     name = "lsram"
 
-    def __init__(self, params: Optional[LsramParams] = None):
+    def __init__(self):
         super().__init__()
-        self.params = params or LsramParams()
         #: Smoothed pressure coefficient a_i per container; absent until
         #: the container's first non-empty window (cold services hold
         #: their current allocation and are charged to the budget as-is).
@@ -252,7 +221,7 @@ class LsramController(Controller):
         self._last_busy: Dict[str, float] = {}
 
     def loops(self):
-        return [(self.params.interval, self, "_decide")]
+        return [(INTERVAL, self, "_decide")]
 
     def _on_start(self) -> None:
         assert self.cluster is not None
@@ -265,31 +234,27 @@ class LsramController(Controller):
 
     # ------------------------------------------------------------- modeling
     def _fold(self, store: Dict[str, float], name: str, observed: float) -> None:
-        """EWMA with instant upward adoption (see ``smoothing``)."""
+        """EWMA with instant upward adoption (see ``SMOOTHING``)."""
         prev = store.get(name)
         if prev is None or observed > prev:
             store[name] = observed
         else:
-            alpha = self.params.smoothing
-            store[name] = (1 - alpha) * prev + alpha * observed
+            store[name] = (1 - SMOOTHING) * prev + SMOOTHING * observed
 
     def _observe(self) -> None:
         """Fold this cycle's runtime windows into the smoothed model."""
         assert self.cluster is not None
-        p = self.params
         for name, runtime in self.cluster.runtimes.items():
             container = self.cluster.containers[name]
             container.sync()
             prev_busy = self._last_busy.get(name, container.busy_core_seconds)
             self._last_busy[name] = container.busy_core_seconds
-            # Clamped at >= 0: crash/restart fault plans can rewind the
-            # busy integral, and a restarted container reads as idle.
-            usage = max(container.busy_core_seconds - prev_busy, 0.0) / p.interval
+            usage = (container.busy_core_seconds - prev_busy) / INTERVAL
             cores = container.cores
-            if usage >= p.sat_threshold * cores:
+            if usage >= SAT_THRESHOLD * cores:
                 # Saturated: true demand is above the ceiling and
                 # unobservable — probe upward multiplicatively.
-                demand = cores * p.probe_growth
+                demand = cores * PROBE_GROWTH
                 self._demand[name] = max(self._demand.get(name, 0.0), demand)
             else:
                 self._fold(self._demand, name, usage)
@@ -302,7 +267,6 @@ class LsramController(Controller):
     def _decide(self) -> None:
         assert self.cluster is not None and self.targets is not None
         self.stats.decision_cycles += 1
-        p = self.params
         self._observe()
         for node in self.cluster.nodes:
             modeled: List[Tuple[str, float, float, float, float]] = []
@@ -314,19 +278,18 @@ class LsramController(Controller):
                 if a is None:
                     reserved += container.cores
                     continue
-                slo = p.slo_margin * self.targets.expected_exec_time[name]
+                slo = SLO_MARGIN * self.targets.expected_exec_time[name]
                 demand = self._demand.get(name, 0.0)
                 modeled.append((name, container.cores, a, slo, demand))
             if not modeled:
                 continue
             budget = node.cores - reserved
-            lo = lower_bounds([m[4] for m in modeled], budget, p)
+            lo = lower_bounds([m[4] for m in modeled], budget)
             solution = solve_allocation(
                 [m[1] for m in modeled],
                 [m[2] for m in modeled],
                 [m[3] for m in modeled],
                 budget,
-                p,
                 lower=lo,
             )
             self._actuate(modeled, solution)
@@ -339,11 +302,10 @@ class LsramController(Controller):
         """Apply the solve, quantized; releases first so the node budget
         always has room for the grants of the same cycle."""
         assert self.cluster is not None
-        p = self.params
         moves: List[Tuple[str, float, float]] = []
         for (name, cores, _a, _s, _d), target in zip(modeled, solution):
             quantized = max(
-                round(target / p.quantum) * p.quantum, p.min_cores
+                round(target / QUANTUM) * QUANTUM, MIN_CORES
             )
             if quantized < cores:
                 # Releases are rate-limited to one quantum per cycle:
@@ -351,8 +313,8 @@ class LsramController(Controller):
                 # whole point) but reclaim may stroll — a symmetric
                 # actuator walks the whole cluster to its floors within
                 # a few cycles and meets every surge from scratch.
-                quantized = max(quantized, cores - p.quantum)
-            if abs(quantized - cores) >= p.quantum - 1e-9:
+                quantized = max(quantized, cores - QUANTUM)
+            if abs(quantized - cores) >= QUANTUM - 1e-9:
                 moves.append((name, cores, quantized))
         for name, cores, new in sorted(
             moves, key=lambda m: m[2] - m[1]
@@ -361,6 +323,6 @@ class LsramController(Controller):
                 node = self.cluster.node_of(name)
                 if node.free_cores + 1e-9 < new - cores:
                     new = cores + node.free_cores
-                    if new - cores < p.quantum - 1e-9:
+                    if new - cores < QUANTUM - 1e-9:
                         continue
             set_cores(self.cluster, self.stats, name, new)

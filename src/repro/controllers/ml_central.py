@@ -10,7 +10,7 @@ milliseconds, §I/§III-A).
 :class:`CentralizedMLController` models exactly that trade-off so the
 detection-delay story (Fig. 4) and Table I can include the ML point:
 
-* every ``interval`` (default 1 s) it *snapshots* all containers'
+* every ``INTERVAL`` (1 s) it *snapshots* all containers'
   windows — paying a metric-collection delay — then applies a
   root-cause-correct allocation after an additional inference delay;
 * root-cause analysis is "oracle-quality" (it reuses SurgeGuard's own
@@ -23,43 +23,24 @@ it loses to latency alone — which is the paper's argument.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.controllers.base import Controller, step_cores, step_frequency
 from repro.core.config import SurgeGuardConfig
 from repro.core.scoring import score_container
 from repro.sim.engine import EventHandle
 
-__all__ = ["CentralizedMLController", "MLParams"]
+__all__ = ["CentralizedMLController"]
 
-
-@dataclass(frozen=True)
-class MLParams:
-    """Latency model of the centralized ML pipeline."""
-
-    #: Decision granularity (Table I: >1 s for Sinan/Sage).
-    interval: float = 1.0
-    #: Metric collection (container → inference server) latency.
-    collection_delay: float = 0.05
-    #: Inference + decision distribution latency (paper: "tens to
-    #: hundreds of milliseconds" for inference alone).
-    inference_delay: float = 0.15
-    core_step: float = 1.0
-    min_cores: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.interval) and self.interval > 0):
-            raise ValueError(
-                f"interval must be finite and positive, got {self.interval!r}"
-            )
-        for name in ("collection_delay", "inference_delay"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"{name} must be finite and non-negative, got {value!r}"
-                )
+#: Decision granularity (Table I: >1 s for Sinan/Sage).
+INTERVAL = 1.0
+#: Metric collection (container → inference server) latency.
+COLLECTION_DELAY = 0.05
+#: Inference + decision distribution latency (paper: "tens to hundreds
+#: of milliseconds" for inference alone).
+INFERENCE_DELAY = 0.15
+#: Core allocation unit.
+CORE_STEP = 1.0
 
 
 class CentralizedMLController(Controller):
@@ -67,9 +48,8 @@ class CentralizedMLController(Controller):
 
     name = "ml-central"
 
-    def __init__(self, params: Optional[MLParams] = None):
+    def __init__(self):
         super().__init__()
-        self.params = params or MLParams()
         # Reuse SurgeGuard's scoring thresholds for the "learned" model.
         self._score_cfg = SurgeGuardConfig()
         #: The collect/apply steps of rounds still in flight, so that
@@ -77,7 +57,7 @@ class CentralizedMLController(Controller):
         self._steps: List[EventHandle] = []
 
     def loops(self):
-        return [(self.params.interval, self, "_cycle")]
+        return [(INTERVAL, self, "_cycle")]
 
     def stop(self) -> None:
         super().stop()
@@ -93,17 +73,16 @@ class CentralizedMLController(Controller):
     # ----------------------------------------------------------- decision
     def _cycle(self) -> None:
         """Kick off one collect → infer → apply round."""
-        self._schedule_step(self.params.collection_delay, self._collect)
+        self._schedule_step(COLLECTION_DELAY, self._collect)
 
     def _collect(self) -> None:
         assert self.cluster is not None
         windows = {n: rt.collect() for n, rt in self.cluster.runtimes.items()}
-        self._schedule_step(self.params.inference_delay, self._apply, windows)
+        self._schedule_step(INFERENCE_DELAY, self._apply, windows)
 
     def _apply(self, windows) -> None:
         assert self.cluster is not None and self.targets is not None
         self.stats.decision_cycles += 1
-        p = self.params
         scores: Dict[str, int] = {n: 0 for n in windows}
         for n, w in windows.items():
             cs = score_container(
@@ -125,7 +104,7 @@ class CentralizedMLController(Controller):
             reverse=True,
         )
         for n in candidates:
-            if not step_cores(self.cluster, self.stats, n, p.core_step):
+            if not step_cores(self.cluster, self.stats, n, CORE_STEP):
                 step_frequency(self.cluster, self.stats, n, up=True)
         # Reclaim from clearly-idle containers (generous, Escalator-like).
         for n, w in windows.items():

@@ -20,6 +20,11 @@ from repro.workload.arrivals import RateSchedule
 
 __all__ = ["OracleController"]
 
+#: Utilization the allocation aims for at the scheduled rate.
+TARGET_UTIL = 0.7
+#: Allocation quantum (a hyperthread).
+GRANULARITY = 0.5
+
 
 class OracleController(Controller):
     """Allocates exact surge demand after a fixed detection delay.
@@ -35,8 +40,6 @@ class OracleController(Controller):
         built up during the detection delay.  The *extra cores needed*
         output of Fig. 4 is the smallest headroom that clears the
         backlog before the surge ends, found by the experiment driver.
-    target_util:
-        Utilization the allocation aims for at the scheduled rate.
     """
 
     name = "oracle"
@@ -47,8 +50,6 @@ class OracleController(Controller):
         *,
         detection_delay: float,
         headroom: float = 1.0,
-        target_util: float = 0.7,
-        granularity: float = 0.5,
     ):
         super().__init__()
         if not (math.isfinite(detection_delay) and detection_delay >= 0):
@@ -56,13 +57,15 @@ class OracleController(Controller):
                 "detection_delay must be finite and non-negative, "
                 f"got {detection_delay!r}"
             )
-        if headroom < 1.0:
-            raise ValueError("headroom must be >= 1")
+        # NaN passes a bare ``headroom < 1.0`` check and fails only when
+        # the surge reaction converts the allocation to an integer.
+        if not (math.isfinite(headroom) and headroom >= 1.0):
+            raise ValueError(
+                f"headroom must be finite and >= 1, got {headroom!r}"
+            )
         self.schedule = schedule
         self.detection_delay = detection_delay
         self.headroom = headroom
-        self.target_util = target_util
-        self.granularity = granularity
         #: The scheduled reactions, so that :meth:`stop` cancels them.
         self._reactions: List[EventHandle] = []
 
@@ -73,16 +76,15 @@ class OracleController(Controller):
         f = self.cluster.config.dvfs.f_min
         cycles = spec.pre_work.mean_cycles + spec.post_work.mean_cycles
         demand = rate * cycles / f
-        g = self.granularity
-        return max(g, math.ceil(demand / self.target_util / g) * g)
+        quanta = math.ceil(demand / TARGET_UTIL / GRANULARITY)
+        return max(GRANULARITY, quanta * GRANULARITY)
 
     def _apply_rate(self, rate: float, boost: float) -> None:
         assert self.cluster is not None
         self.stats.decision_cycles += 1
         for name in self.cluster.app.service_names:
             want = self._cores_for_rate(name, rate) * boost
-            g = self.granularity
-            want = math.ceil(want / g) * g
+            want = math.ceil(want / GRANULARITY) * GRANULARITY
             node = self.cluster.node_of(name)
             have = self.cluster.containers[name].cores
             want = min(want, have + node.free_cores)

@@ -29,49 +29,45 @@ faults Parties for):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Dict, Optional
 
 from repro.controllers.base import Controller, step_cores, step_frequency
 
-__all__ = ["PartiesController", "PartiesParams"]
+__all__ = ["PartiesController"]
 
-
-@dataclass(frozen=True)
-class PartiesParams:
-    """Tunables of the Parties FSM (defaults follow the original paper)."""
-
-    #: Decision interval (Table I: 500 ms).
-    interval: float = 0.5
-    #: Slack below this ⇒ violation (original paper: 0.05).
-    violation_slack: float = 0.05
-    #: Slack above this ⇒ candidate for downscaling (original: ~0.2).
-    comfort_slack: float = 0.2
-    #: Consecutive comfortable intervals required before reclaiming.
-    downscale_patience: int = 3
-    #: Core allocation unit.  The SurgeGuard paper allocates both
-    #: hyperthreads of a physical core together for Parties: 1.0.
-    core_step: float = 1.0
-    #: Minimum cores a container may be squeezed to.
-    min_cores: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if not 0 <= self.violation_slack < self.comfort_slack:
-            raise ValueError("need 0 <= violation_slack < comfort_slack")
-        if self.downscale_patience < 1:
-            raise ValueError("downscale_patience must be >= 1")
+#: Slack below this ⇒ violation (original paper: 0.05).
+VIOLATION_SLACK = 0.05
+#: Slack above this ⇒ candidate for downscaling (original: ~0.2).
+COMFORT_SLACK = 0.2
+#: Consecutive comfortable intervals required before reclaiming.
+DOWNSCALE_PATIENCE = 3
+#: A container whose reclaim was regretted (and reverted) may not be
+#: reclaimed again until this many intervals after the reclaim.
+DOWNSCALE_COOLDOWN_INTERVALS = 10
+#: Core allocation unit.  The SurgeGuard paper allocates both
+#: hyperthreads of a physical core together for Parties: 1.0.
+CORE_STEP = 1.0
+#: Minimum cores a container may be squeezed to.
+MIN_CORES = 0.5
 
 
 class PartiesController(Controller):
-    """Per-container Parties with cores + frequency."""
+    """Per-container Parties with cores + frequency.
+
+    ``interval`` is the decision interval (Table I: 500 ms); the other
+    tunables are the module constants (defaults of the original paper).
+    """
 
     name = "parties"
 
-    def __init__(self, params: Optional[PartiesParams] = None):
+    def __init__(self, interval: float = 0.5):
         super().__init__()
-        self.params = params or PartiesParams()
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError(
+                f"interval must be finite and positive, got {interval!r}"
+            )
+        self.interval = interval
         self._comfort_streak: Dict[str, int] = {}
         # Downscale verification state: Parties reverts an adjustment
         # that degrades QoS and temporarily blacklists the victim.
@@ -79,7 +75,7 @@ class PartiesController(Controller):
         self._cooldown: Dict[str, int] = {}
 
     def loops(self):
-        return [(self.params.interval, self, "_decide")]
+        return [(self.interval, self, "_decide")]
 
     def _on_start(self) -> None:
         assert self.cluster is not None
@@ -105,7 +101,6 @@ class PartiesController(Controller):
 
     def _decide(self) -> None:
         self.stats.decision_cycles += 1
-        p = self.params
         slacks = self._slacks()
 
         # Verify the previous interval's downscale (Parties' sizing FSM:
@@ -114,27 +109,27 @@ class PartiesController(Controller):
         if self._pending_downscale is not None:
             name, kind = self._pending_downscale
             self._pending_downscale = None
-            if slacks[name] < p.violation_slack:
+            if slacks[name] < VIOLATION_SLACK:
                 if kind == "core":
-                    step_cores(self.cluster, self.stats, name, p.core_step)
+                    step_cores(self.cluster, self.stats, name, CORE_STEP)
                 else:
                     step_frequency(self.cluster, self.stats, name, up=True)
-                self._cooldown[name] = 10
+                self._cooldown[name] = DOWNSCALE_COOLDOWN_INTERVALS
         for n in list(self._cooldown):
             self._cooldown[n] -= 1
             if self._cooldown[n] <= 0:
                 del self._cooldown[n]
 
         worst = min(slacks, key=lambda n: slacks[n])
-        if slacks[worst] < p.violation_slack:
+        if slacks[worst] < VIOLATION_SLACK:
             # Upscale the worst container by one unit: core, else frequency.
-            if not step_cores(self.cluster, self.stats, worst, p.core_step):
+            if not step_cores(self.cluster, self.stats, worst, CORE_STEP):
                 step_frequency(self.cluster, self.stats, worst, up=True)
             self._comfort_streak[worst] = 0
 
         # Track per-container comfort for hysteretic downscaling.
         for name, s in slacks.items():
-            if s > p.comfort_slack:
+            if s > COMFORT_SLACK:
                 self._comfort_streak[name] += 1
             else:
                 self._comfort_streak[name] = 0
@@ -144,13 +139,13 @@ class PartiesController(Controller):
         # spare cores — it does *not* shed resources at steady state
         # (the paper's Fig. 6-right criticism is precisely that Parties
         # lets comfortable containers keep hogging what they were given).
-        if slacks[worst] < p.violation_slack:
+        if slacks[worst] < VIOLATION_SLACK:
             node = self.cluster.node_of(worst)
-            if node.free_cores + 1e-9 < p.core_step:
+            if node.free_cores + 1e-9 < CORE_STEP:
                 candidates = [
                     n
                     for n, streak in self._comfort_streak.items()
-                    if streak >= p.downscale_patience
+                    if streak >= DOWNSCALE_PATIENCE
                     and n not in self._cooldown
                     and n != worst
                     and self.cluster.node_of(n) is node
@@ -158,7 +153,7 @@ class PartiesController(Controller):
                 if candidates:
                     best = max(candidates, key=lambda n: slacks[n])
                     if step_cores(
-                        self.cluster, self.stats, best, -p.core_step, p.min_cores
+                        self.cluster, self.stats, best, -CORE_STEP, MIN_CORES
                     ):
                         self._pending_downscale = (best, "core")
                     elif step_frequency(self.cluster, self.stats, best, up=False):

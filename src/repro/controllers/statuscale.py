@@ -54,13 +54,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Sequence
+from typing import Deque, Dict, Sequence
 
 from repro.controllers.base import Controller, step_cores
 
 __all__ = [
     "StatuScaleController",
-    "StatuScaleParams",
     "ServiceState",
     "load_status",
     "plan_decision",
@@ -68,61 +67,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StatuScaleParams:
-    """Tunables of the StatuScale loop (defaults follow the paper's
-    spirit at this repo's simulation scale)."""
-
-    #: Decision interval (the paper samples at seconds granularity;
-    #: scaled down with the rest of the experiments).
-    interval: float = 0.25
-    #: Sliding-window length (usage samples) for the status detector.
-    window: int = 8
-    #: Relative standard deviation above this ⇒ *fluctuating* status.
-    surge_rsd: float = 0.15
-    #: Normalized window slope above this ⇒ *fluctuating* status.
-    surge_slope: float = 0.25
-    #: Limit = usage × headroom under a *stable* status.
-    headroom: float = 1.75
-    #: Limit = usage × surge_headroom under a *fluctuating* status.
-    surge_headroom: float = 2.0
-    #: latency/SLO ratio above this ⇒ add the correction grant.
-    upscale_ratio: float = 1.0
-    #: latency/SLO ratio below this ⇒ downscale candidate.
-    downscale_ratio: float = 0.7
-    #: Correction-factor gain: fraction of the latency excess converted
-    #: into a proportional core grant.
-    correction_gain: float = 1.0
-    #: Correction boost applied while the detector reports fluctuation.
-    surge_boost: float = 2.0
-    #: Hard cap on cores granted per service per decision.
-    max_step: float = 2.0
-    #: Actuation quantum (grants/releases are multiples of this).
-    core_step: float = 0.5
-    #: Consecutive comfortable intervals before releasing a step.
-    downscale_patience: int = 8
-    #: Minimum cores a container may be squeezed to.
-    min_cores: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.surge_rsd < 0 or self.surge_slope < 0:
-            raise ValueError("detector thresholds must be non-negative")
-        if not 1.0 <= self.headroom <= self.surge_headroom:
-            raise ValueError("need 1 <= headroom <= surge_headroom")
-        if not 0 < self.downscale_ratio < self.upscale_ratio:
-            raise ValueError("need 0 < downscale_ratio < upscale_ratio")
-        if self.correction_gain <= 0 or self.surge_boost < 1.0:
-            raise ValueError("need correction_gain > 0 and surge_boost >= 1")
-        if self.core_step <= 0 or self.max_step < self.core_step:
-            raise ValueError("need 0 < core_step <= max_step")
-        if self.downscale_patience < 1:
-            raise ValueError("downscale_patience must be >= 1")
-        if self.min_cores <= 0:
-            raise ValueError("min_cores must be positive")
+# The tunables follow the paper's spirit at this repo's simulation scale.
+#: Decision interval (the paper samples at seconds granularity; scaled
+#: down with the rest of the experiments).
+INTERVAL = 0.25
+#: Sliding-window length (usage samples) for the status detector.
+WINDOW = 8
+#: Relative standard deviation above this ⇒ *fluctuating* status.
+SURGE_RSD = 0.15
+#: Normalized window slope above this ⇒ *fluctuating* status.
+SURGE_SLOPE = 0.25
+#: Limit = usage × HEADROOM under a *stable* status.
+HEADROOM = 1.75
+#: Limit = usage × SURGE_HEADROOM under a *fluctuating* status.
+SURGE_HEADROOM = 2.0
+#: latency/SLO ratio above this ⇒ add the correction grant.
+UPSCALE_RATIO = 1.0
+#: latency/SLO ratio below this ⇒ downscale candidate.
+DOWNSCALE_RATIO = 0.7
+#: Correction-factor gain: fraction of the latency excess converted into
+#: a proportional core grant.
+CORRECTION_GAIN = 1.0
+#: Correction boost applied while the detector reports fluctuation.
+SURGE_BOOST = 2.0
+#: Hard cap on cores granted per service per decision.
+MAX_STEP = 2.0
+#: Actuation quantum (grants/releases are multiples of this).
+CORE_STEP = 0.5
+#: Consecutive comfortable intervals before releasing a step.
+DOWNSCALE_PATIENCE = 8
+#: Minimum cores a container may be squeezed to.
+MIN_CORES = 0.5
 
 
 @dataclass
@@ -133,13 +108,13 @@ class ServiceState:
     low_streak: int = 0
 
 
-def load_status(samples: Sequence[float], params: StatuScaleParams) -> bool:
+def load_status(samples: Sequence[float]) -> bool:
     """Status detector: ``True`` = *fluctuating*, ``False`` = *stable*.
 
     Operates on the sliding window of usage samples.  Fluctuation is
     declared when the window's relative standard deviation exceeds
-    ``surge_rsd`` or its normalized first-to-last slope exceeds
-    ``surge_slope``.  Windows with fewer than 3 samples are *stable* —
+    ``SURGE_RSD`` or its normalized first-to-last slope exceeds
+    ``SURGE_SLOPE``.  Windows with fewer than 3 samples are *stable* —
     the detector has nothing to detect yet.
     """
     n = len(samples)
@@ -149,67 +124,61 @@ def load_status(samples: Sequence[float], params: StatuScaleParams) -> bool:
     if mean <= 0:
         return False
     var = sum((s - mean) ** 2 for s in samples) / n
-    if math.sqrt(var) / mean > params.surge_rsd:
+    if math.sqrt(var) / mean > SURGE_RSD:
         return True
     slope = (samples[-1] - samples[0]) / (n - 1)
-    return slope / mean > params.surge_slope
+    return slope / mean > SURGE_SLOPE
 
 
-def upscale_step(
-    params: StatuScaleParams, ratio: float, cores: float, fluctuating: bool
-) -> float:
+def upscale_step(ratio: float, cores: float, fluctuating: bool) -> float:
     """Latency correction grant for one service, in cores (>= 0).
 
     The raw correction is ``gain · (ratio − 1) · cores`` — the paper's
     multiplicative limit adjustment expressed as an additive grant —
-    boosted by ``surge_boost`` under a fluctuating status, rounded *up*
-    to the actuation quantum, and capped at ``max_step``.  Monotone
+    boosted by ``SURGE_BOOST`` under a fluctuating status, rounded *up*
+    to the actuation quantum, and capped at ``MAX_STEP``.  Monotone
     non-decreasing in ``ratio`` and in ``cores`` (for either status),
     which the Hypothesis suite pins.
     """
-    if ratio <= params.upscale_ratio:
+    if ratio <= UPSCALE_RATIO:
         return 0.0
-    raw = params.correction_gain * (ratio - 1.0) * cores
+    raw = CORRECTION_GAIN * (ratio - 1.0) * cores
     if fluctuating:
-        raw *= params.surge_boost
-    quantized = math.ceil(raw / params.core_step - 1e-12) * params.core_step
-    return min(max(quantized, params.core_step), params.max_step)
+        raw *= SURGE_BOOST
+    quantized = math.ceil(raw / CORE_STEP - 1e-12) * CORE_STEP
+    return min(max(quantized, CORE_STEP), MAX_STEP)
 
 
 def plan_decision(
-    params: StatuScaleParams,
-    state: ServiceState,
-    ratio: float,
-    usage: float,
-    cores: float,
+    state: ServiceState, ratio: float, usage: float, cores: float
 ) -> float:
     """One decision step for one service: update ``state`` with this
     window's ``usage`` sample and return the signed core delta given the
     latency/SLO ``ratio`` and current allocation.
 
-    Positive = grant (capped at ``max_step``), negative = release (one
-    ``core_step``, respecting ``min_cores``), 0.0 = hold.  This is the
+    Positive = grant (capped at ``MAX_STEP``), negative = release (one
+    ``CORE_STEP``, respecting ``MIN_CORES``), 0.0 = hold.  This is the
     whole per-service policy — the controller merely actuates the
     returned delta through the node budget — so tests can drive it
     directly on synthetic sequences.  Monotone: for the same state and
     usage, a higher ``ratio`` never yields a smaller delta.
     """
     state.samples.append(usage)
-    while len(state.samples) > params.window:
+    while len(state.samples) > WINDOW:
         state.samples.popleft()
-    fluctuating = load_status(state.samples, params)
+    fluctuating = load_status(state.samples)
 
-    head = params.surge_headroom if fluctuating else params.headroom
+    head = SURGE_HEADROOM if fluctuating else HEADROOM
     desired = usage * head
-    if ratio > params.upscale_ratio:
-        desired = max(desired, cores + upscale_step(params, ratio, cores, fluctuating))
+    if ratio > UPSCALE_RATIO:
+        desired = max(desired, cores + upscale_step(ratio, cores, fluctuating))
 
     if desired > cores + 1e-9:
         state.low_streak = 0
-        grant = math.ceil((desired - cores) / params.core_step - 1e-12)
-        return min(grant * params.core_step, params.max_step)
+        grant = math.ceil((desired - cores) / CORE_STEP - 1e-12)
+        return min(grant * CORE_STEP, MAX_STEP)
 
-    if desired <= cores - params.core_step and ratio < params.downscale_ratio:
+    if desired <= cores - CORE_STEP and ratio < DOWNSCALE_RATIO:
         state.low_streak += 1
         # Status-aware: never release resources while the detector sees
         # fluctuation, nor before the window has even filled once — a
@@ -217,12 +186,12 @@ def plan_decision(
         # paper's guard against oscillating limits).
         if (
             not fluctuating
-            and len(state.samples) >= params.window
-            and state.low_streak >= params.downscale_patience
+            and len(state.samples) >= WINDOW
+            and state.low_streak >= DOWNSCALE_PATIENCE
         ):
             state.low_streak = 0
-            if cores - params.core_step >= params.min_cores - 1e-9:
-                return -params.core_step
+            if cores - CORE_STEP >= MIN_CORES - 1e-9:
+                return -CORE_STEP
         return 0.0
 
     state.low_streak = 0
@@ -234,15 +203,14 @@ class StatuScaleController(Controller):
 
     name = "statuscale"
 
-    def __init__(self, params: Optional[StatuScaleParams] = None):
+    def __init__(self):
         super().__init__()
-        self.params = params or StatuScaleParams()
         self._state: Dict[str, ServiceState] = {}
         #: Last seen busy-core integral per container (usage deltas).
         self._last_busy: Dict[str, float] = {}
 
     def loops(self):
-        return [(self.params.interval, self, "_decide")]
+        return [(INTERVAL, self, "_decide")]
 
     def _on_start(self) -> None:
         assert self.cluster is not None
@@ -253,23 +221,17 @@ class StatuScaleController(Controller):
             self._last_busy[name] = c.busy_core_seconds
 
     def _usage(self, name: str) -> float:
-        """Mean cores burned by ``name`` since the previous decision.
-
-        Clamped at >= 0: crash/restart fault plans can rewind the busy
-        integral relative to the baseline, and a restarted container
-        must read as idle, not as negative work.
-        """
+        """Mean cores burned by ``name`` since the previous decision."""
         assert self.cluster is not None
         c = self.cluster.containers[name]
         c.sync()
         prev = self._last_busy.get(name, c.busy_core_seconds)
         self._last_busy[name] = c.busy_core_seconds
-        return max(c.busy_core_seconds - prev, 0.0) / self.params.interval
+        return (c.busy_core_seconds - prev) / INTERVAL
 
     def _decide(self) -> None:
         assert self.cluster is not None and self.targets is not None
         self.stats.decision_cycles += 1
-        p = self.params
         grants: list = []
         for name, runtime in self.cluster.runtimes.items():
             window = runtime.collect()
@@ -281,13 +243,13 @@ class StatuScaleController(Controller):
             state = self._state.setdefault(name, ServiceState())
             usage = self._usage(name)
             cores = self.cluster.containers[name].cores
-            delta = plan_decision(p, state, ratio, usage, cores)
+            delta = plan_decision(state, ratio, usage, cores)
             if delta > 0:
                 grants.append((usage / max(cores, 1e-9), name, delta))
             elif delta < 0:
                 # Releases actuate immediately so the same cycle's grants
                 # can reuse the freed cores.
-                step_cores(self.cluster, self.stats, name, delta, p.min_cores)
+                step_cores(self.cluster, self.stats, name, delta, MIN_CORES)
         # Grants go most-saturated-first (usage/cores): when the node's
         # free cores cannot cover every sized limit, they must reach the
         # container actually burning its allocation — feeding a blocked
@@ -296,7 +258,7 @@ class StatuScaleController(Controller):
         for _, name, delta in sorted(grants, reverse=True):
             # Grant in quanta so a partially-full node yields what it
             # can instead of rejecting the whole correction.
-            steps = int(round(delta / p.core_step))
+            steps = int(round(delta / CORE_STEP))
             for _ in range(steps):
-                if not step_cores(self.cluster, self.stats, name, p.core_step):
+                if not step_cores(self.cluster, self.stats, name, CORE_STEP):
                     break

@@ -15,7 +15,7 @@ decision cycle:
    downstream containers on *other* nodes learn they are candidates
    without any controller-to-controller communication.
 3. **Upscale** candidates in (score desc, core-sensitivity desc) order,
-   one ``core_step`` each, while the node has free cores; candidates
+   one ``CORE_STEP`` each, while the node has free cores; candidates
    that cannot get a core get a frequency step instead.
 4. **Downscale**: Parties-style reclamation from the most comfortable
    score-zero container (frequency first, then a core, with hysteresis),
@@ -38,7 +38,19 @@ from repro.sim.engine import Simulator
 from repro.cluster.cluster import NodeView
 from repro.controllers.base import ControllerStats, step_cores, step_frequency
 from repro.controllers.targets import TargetConfig
-from repro.core.config import SurgeGuardConfig
+from repro.core.config import (
+    COMFORT_RATIO,
+    CORE_STEP,
+    DOWNSCALE_COOLDOWN_CYCLES,
+    DOWNSCALE_PATIENCE,
+    EXEC_TH,
+    GRANT_PER_CYCLE,
+    MIN_CORES,
+    QUEUE_TH,
+    SENS_REVOKE_TH,
+    STAMP_DURATION,
+    SurgeGuardConfig,
+)
 from repro.core.scoring import score_container
 from repro.core.sensitivity import SensitivityTracker
 
@@ -53,7 +65,7 @@ class Escalator:
     sim, view:
         The simulator and this node's local view.
     config, targets:
-        SurgeGuard tunables and the profiled per-container targets.
+        SurgeGuard settings and the profiled per-container targets.
     stats:
         Shared action counters (aggregated across the per-node units by
         :class:`~repro.core.surgeguard.SurgeGuardController`).
@@ -74,7 +86,7 @@ class Escalator:
         self.stats = stats if stats is not None else ControllerStats()
         self.sensitivity = SensitivityTracker(
             alpha=config.alpha,
-            step=config.core_step,
+            step=CORE_STEP,
             max_cores=view.node.cores,
         )
         self._comfort_streak: Dict[str, int] = {
@@ -92,8 +104,6 @@ class Escalator:
         # is restored and the container left alone for a while.
         self._pending_downscale: Optional[str] = None
         self._cooldown: Dict[str, int] = {}
-        #: Cycles a regretted-downscale container is exempt from 4a.
-        self.downscale_cooldown_cycles = 20
         self._busy_integral: Dict[str, float] = {
             n: view.container(n).busy_core_seconds
             for n in view.container_names
@@ -175,7 +185,7 @@ class Escalator:
             scores[n] += cs.self_score
             if cs.marks_downstream and cfg.use_new_metrics:
                 self.view.runtime(n).stamp_upscale(
-                    cfg.upscale_ttl, cfg.stamp_duration
+                    cfg.upscale_ttl, STAMP_DURATION
                 )
                 for d in self.view.local_downstream(n):
                     scores[d] += 1
@@ -193,11 +203,11 @@ class Escalator:
                 regretted = scores.get(n, 0) > 0 or (
                     windows[n].count > 0
                     and eff_metric[n]
-                    > cfg.exec_th * self.targets.expected_exec_metric[n]
+                    > EXEC_TH * self.targets.expected_exec_metric[n]
                 )
                 if regretted:
-                    step_cores(self.view, self.stats, n, cfg.core_step)
-                    self._cooldown[n] = self.downscale_cooldown_cycles
+                    step_cores(self.view, self.stats, n, CORE_STEP)
+                    self._cooldown[n] = DOWNSCALE_COOLDOWN_CYCLES
         for n in list(self._cooldown):
             self._cooldown[n] -= 1
             if self._cooldown[n] <= 0:
@@ -228,10 +238,10 @@ class Escalator:
             if avg_busy[n] < 0.8 * c.cores:
                 continue
             granted = 0.0
-            while granted + 1e-9 < cfg.grant_per_cycle:
-                if not step_cores(self.view, self.stats, n, cfg.core_step):
+            while granted + 1e-9 < GRANT_PER_CYCLE:
+                if not step_cores(self.view, self.stats, n, CORE_STEP):
                     break
-                granted += cfg.core_step
+                granted += CORE_STEP
             if granted == 0.0:
                 # No spare cores on this node: frequency is the lever
                 # that needs no budget.
@@ -252,20 +262,20 @@ class Escalator:
             w = windows[n]
             target = self.targets.expected_exec_metric[n]
             is_comfort = w.count == 0 or (
-                eff_metric[n] < cfg.comfort_ratio * target
-                and w.queue_buildup <= cfg.queue_th
+                eff_metric[n] < COMFORT_RATIO * target
+                and w.queue_buildup <= QUEUE_TH
             )
             if is_comfort:
                 self._comfort_streak[n] = self._comfort_streak.get(n, 0) + 1
                 step_frequency(self.view, self.stats, n, up=False)
-                if self._comfort_streak[n] >= cfg.downscale_patience:
+                if self._comfort_streak[n] >= DOWNSCALE_PATIENCE:
                     core_candidates.append(n)
             else:
                 self._comfort_streak[n] = 0
         if core_candidates:
             pick = max(core_candidates, key=lambda n: self._comfort_streak[n])
             if step_cores(
-                self.view, self.stats, pick, -cfg.core_step, cfg.min_cores
+                self.view, self.stats, pick, -CORE_STEP, MIN_CORES
             ):
                 self._pending_downscale = pick
             self._comfort_streak[pick] = 0
@@ -276,8 +286,8 @@ class Escalator:
             for n in names:
                 c = self.view.container(n)
                 if self.sensitivity.should_revoke(
-                    n, c.cores, cfg.sens_revoke_th
+                    n, c.cores, SENS_REVOKE_TH
                 ):
                     step_cores(
-                        self.view, self.stats, n, -cfg.core_step, cfg.min_cores
+                        self.view, self.stats, n, -CORE_STEP, MIN_CORES
                     )

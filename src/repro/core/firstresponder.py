@@ -32,7 +32,7 @@ from repro.cluster.cluster import NodeView
 from repro.cluster.packet import REQUEST, RpcPacket
 from repro.controllers.base import ControllerStats, set_frequency
 from repro.controllers.targets import TargetConfig
-from repro.core.config import SurgeGuardConfig
+from repro.core.config import ENQUEUE_COST, HOOK_COST, MSR_COST, SurgeGuardConfig
 
 __all__ = ["FirstResponder"]
 
@@ -72,7 +72,7 @@ class FirstResponder:
         """Attach the RX hook on this node (idempotent guard)."""
         if self._installed:
             raise RuntimeError("FirstResponder already installed")
-        self.view.add_rx_hook(self.on_packet, cost=self.config.hook_cost)
+        self.view.add_rx_hook(self.on_packet, cost=HOOK_COST)
         self._installed = True
 
     @property
@@ -112,7 +112,7 @@ class FirstResponder:
         hold = self.sim.now + self.hold_window
         for name in containers:
             self._hold_until[name] = hold
-        delay = self.config.enqueue_cost + self.config.msr_cost
+        delay = ENQUEUE_COST + MSR_COST
         self.sim.schedule(delay, self._apply_boost, tuple(containers))
 
     # ------------------------------------------------------------ worker path

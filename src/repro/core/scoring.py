@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.cluster.runtime import RuntimeWindow
-from repro.core.config import SurgeGuardConfig
+from repro.core.config import EXEC_TH, QUEUE_TH, SurgeGuardConfig
 
 __all__ = ["UPSCALE_RULES", "ContainerScore", "score_container"]
 
@@ -80,11 +80,11 @@ def score_container(
     if window.count == 0:
         return ContainerScore(name, False, False, False)
     if not config.use_new_metrics:
-        violated = window.avg_exec_time / expected_exec_time > config.exec_th
+        violated = window.avg_exec_time / expected_exec_time > EXEC_TH
         return ContainerScore(name, False, False, violated)
     hint = window.upscale_hints > 0
-    queue_violation = window.queue_buildup > config.queue_th
+    queue_violation = window.queue_buildup > QUEUE_TH
     exec_violation = (
-        window.avg_exec_metric / expected_exec_metric > config.exec_th
+        window.avg_exec_metric / expected_exec_metric > EXEC_TH
     )
     return ContainerScore(name, hint, queue_violation, exec_violation)

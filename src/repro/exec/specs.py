@@ -9,11 +9,17 @@ compared and logged (the validate matrix and the benchmark build every
 cell this way).
 
 Each name maps to a controller class and the dataclass its parameters
-route into; every class builds ``params or Params()``, so a spec
-without parameters builds the class's default controller.
+route into, or to a class that takes its parameters as keywords; a
+spec without parameters builds the class's default controller.
+:func:`spec` builds the controller once, so a parameter the class does
+not take raises when the spec is made, not when a run starts.
 
 >>> spec("surgeguard", firstresponder=False)()   # doctest: +ELLIPSIS
 <repro.core.surgeguard.SurgeGuardController object at ...>
+>>> spec("lsram", interval=0.1)   # doctest: +ELLIPSIS
+Traceback (most recent call last):
+    ...
+TypeError: ...got an unexpected keyword argument 'interval'
 """
 
 from __future__ import annotations
@@ -22,13 +28,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.controllers.base import Controller
-from repro.controllers.caladan import CaladanController, CaladanParams
+from repro.controllers.caladan import CaladanController
 from repro.controllers.horizontal import HorizontalAutoscaler, HpaParams, HybridController
-from repro.controllers.lsram import LsramController, LsramParams
-from repro.controllers.ml_central import CentralizedMLController, MLParams
+from repro.controllers.lsram import LsramController
+from repro.controllers.ml_central import CentralizedMLController
 from repro.controllers.null import NullController
-from repro.controllers.parties import PartiesController, PartiesParams
-from repro.controllers.statuscale import StatuScaleController, StatuScaleParams
+from repro.controllers.parties import PartiesController
+from repro.controllers.statuscale import StatuScaleController
 from repro.core.config import SurgeGuardConfig
 from repro.core.surgeguard import SurgeGuardController
 
@@ -40,19 +46,20 @@ def _escalator_config(**kw: Any) -> SurgeGuardConfig:
     return SurgeGuardConfig(firstresponder=False, **kw)
 
 
-#: name -> (controller class, its parameter type or ``None`` when it
-#: takes none).  ``hybrid``'s parameters tune its HPA half.
+#: name -> (controller class, its parameter type or ``None`` when the
+#: class takes its parameters, if any, as keywords).  ``hybrid``'s
+#: parameters tune its HPA half.
 _SPECS: Dict[str, Tuple[Callable[..., Controller], Optional[Callable[..., Any]]]] = {
     "null": (NullController, None),
-    "parties": (PartiesController, PartiesParams),
-    "caladan": (CaladanController, CaladanParams),
-    "ml-central": (CentralizedMLController, MLParams),
+    "parties": (PartiesController, None),
+    "caladan": (CaladanController, None),
+    "ml-central": (CentralizedMLController, None),
     "hpa": (HorizontalAutoscaler, HpaParams),
     "hybrid": (HybridController, HpaParams),
     "surgeguard": (SurgeGuardController, SurgeGuardConfig),
     "escalator": (SurgeGuardController, _escalator_config),
-    "statuscale": (StatuScaleController, StatuScaleParams),
-    "lsram": (LsramController, LsramParams),
+    "statuscale": (StatuScaleController, None),
+    "lsram": (LsramController, None),
 }
 
 
@@ -89,6 +96,12 @@ class ControllerSpec:
 
 
 def spec(name: str, **params: Any) -> ControllerSpec:
-    """Build a :class:`ControllerSpec`, validating the name eagerly."""
-    _lookup(name)
-    return ControllerSpec(name, tuple(sorted(params.items())))
+    """Build a :class:`ControllerSpec`, validating it eagerly.
+
+    The controller is built once and discarded, so an unknown name, a
+    parameter the controller does not take and a value its checks
+    reject all raise here.
+    """
+    made = ControllerSpec(name, tuple(sorted(params.items())))
+    made()
+    return made

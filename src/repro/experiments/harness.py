@@ -12,10 +12,10 @@ The paper's §V protocol, scaled:
 * reported: violation volume, P98, average cores and energy over the
   measurement window only.
 
-Profiling runs in its own simulation with a :class:`NullController` so
-the controller under test never sees profiling traffic — and profiling
-results are memoized per (workload, topology) since they are
-controller-independent.
+Profiling runs in its own simulation with no controller attached (the
+initial allocation stays put), so the controller under test never sees
+profiling traffic — and profiling results are memoized per (workload,
+topology) since they are controller-independent.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import SurgeGuardConfig
+from repro.core.config import ENQUEUE_COST, HOOK_COST, MSR_COST
 from repro.exec.specs import spec
 from repro.experiments.harness import ExperimentConfig, run_experiment
 from repro.experiments.scale import current_scale
@@ -69,7 +69,6 @@ def run_overheads(workload: str = "chain") -> OverheadReport:
     )
     import dataclasses
 
-    sg_cfg = SurgeGuardConfig()
     with_fr = run_experiment(
         dataclasses.replace(cfg_base, controller_factory=spec("surgeguard"))
     )
@@ -78,12 +77,12 @@ def run_overheads(workload: str = "chain") -> OverheadReport:
     )
     elapsed = cfg_base.duration + cfg_base.warmup + cfg_base.drain
     busy = (
-        with_fr.fast_path_packets * sg_cfg.hook_cost
+        with_fr.fast_path_packets * HOOK_COST
         + with_fr.controller_stats.decision_cycles * ESCALATOR_CYCLE_COST
     )
     return OverheadReport(
-        hook_cost=sg_cfg.hook_cost,
-        boost_latency=sg_cfg.enqueue_cost + sg_cfg.msr_cost,
+        hook_cost=HOOK_COST,
+        boost_latency=ENQUEUE_COST + MSR_COST,
         packets_inspected=with_fr.fast_path_packets,
         decision_cycles=with_fr.controller_stats.decision_cycles,
         controller_cpu_util=busy / (RESERVED_CORES * elapsed),

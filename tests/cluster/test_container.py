@@ -179,6 +179,50 @@ class TestAccounting:
         assert container.active_jobs == 0
 
 
+class TestMonotoneIntegrals:
+    def test_integrals_never_decrease_across_faults_and_replica_ops(
+        self, sim, container
+    ):
+        """Controllers difference these integrals between decisions, so
+        a crash, a decommission or a recommission must never rewind one:
+        every delta they read is then >= 0 with no clamp."""
+        seen = []
+
+        def snapshot():
+            container.sync()
+            seen.append(
+                (
+                    container.busy_core_seconds,
+                    container.alloc_core_seconds,
+                    container.freq_seconds,
+                )
+            )
+
+        snapshot()
+        container.submit(3.2e9, lambda: None)
+        container.submit(3.2e9, lambda: None)
+        sim.run(until=0.5)
+        snapshot()
+        assert container.crash() == 2
+        snapshot()
+        container.submit(0.8e9, lambda: None)  # new work after the crash
+        sim.run(until=1.5)
+        snapshot()
+        container.decommission()
+        snapshot()
+        sim.run(until=2.5)  # frozen while decommissioned
+        snapshot()
+        container.recommission()
+        snapshot()
+        container.submit(0.8e9, lambda: None)
+        sim.run(until=3.5)
+        snapshot()
+        for before, after in zip(seen, seen[1:]):
+            assert all(b >= a for a, b in zip(before, after)), (before, after)
+        # Every integral kept accruing after the recommission.
+        assert all(b > a for a, b in zip(seen[-3], seen[-1]))
+
+
 class TestConservation:
     def test_total_work_conserved_under_reconfig(self, sim, dvfs):
         """Work in = cycles out regardless of allocation churn."""

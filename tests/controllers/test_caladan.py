@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.controllers.caladan import CaladanController, CaladanParams
+from repro.controllers import caladan
+from repro.controllers.caladan import CaladanController
+from repro.exec import spec
 from repro.experiments.harness import run_experiment
 from tests.conftest import make_chain_app
 from tests.controllers.conftest import mini_config
@@ -10,15 +12,15 @@ from tests.controllers.conftest import mini_config
 
 class TestParams:
     def test_hyperthread_granularity(self):
-        assert CaladanParams().core_step == 0.5  # §V
+        assert caladan.CORE_STEP == 0.5  # §V
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            CaladanParams(interval=0.0)
-        with pytest.raises(ValueError):
-            CaladanParams(congestion_qb=0.9)
-        with pytest.raises(ValueError):
-            CaladanParams(yield_patience=0)
+        """The port takes no settings: a stale parameter raises when
+        the spec is made, not after the profiling pass."""
+        with pytest.raises(TypeError):
+            spec("caladan", interval=0.0)
+        with pytest.raises(TypeError):
+            spec("caladan", yield_patience=5)
 
 
 class TestBehavior:
@@ -40,7 +42,7 @@ class TestBehavior:
         """Over-provisioned container at trivial load loses hyperthreads."""
         app = make_chain_app(1, work=0.4e6, pool=None, cores=4.0)
         cfg = mini_config(
-            lambda: CaladanController(CaladanParams(yield_patience=5)),
+            CaladanController,
             app=app,
             workload="mini-idle",
             base_rate=100.0,

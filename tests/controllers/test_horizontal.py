@@ -8,6 +8,7 @@ receiving traffic, scale-in drains and reaps the highest-index replica.
 import pytest
 
 from repro.cluster.loadbalancer import DRAINING, READY
+from repro.controllers import horizontal
 from repro.controllers.horizontal import (
     HorizontalAutoscaler,
     HpaParams,
@@ -37,14 +38,30 @@ class TestParams:
         with pytest.raises(ValueError):
             HpaParams(interval=0.0)
         with pytest.raises(ValueError):
-            HpaParams(scale_in_utilization=0.8, target_utilization=0.7)
+            HpaParams(max_replicas=0)
         with pytest.raises(ValueError):
-            HpaParams(min_replicas=3, max_replicas=2)
+            HpaParams(scale_in_patience=-1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["interval", "launch_delay"])
     def test_non_finite_timing_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
+            HpaParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # ``streak >= nan`` is never true: scale-in would never fire.
+            ("scale_in_patience", float("nan")),
+            ("scale_in_patience", 0),
+            ("scale_in_patience", 1.5),
+            # ``len(ready) < 2.5`` lets a third replica launch.
+            ("max_replicas", 2.5),
+            ("max_replicas", 0),
+        ],
+    )
+    def test_bad_count_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             HpaParams(**{field: value})
 
     def test_runs_on_a_default_config(self):
@@ -153,22 +170,10 @@ def _wired(cluster, params=None) -> HorizontalAutoscaler:
 
 
 class TestBaselineAccounting:
-    """Regression tests for the busy-baseline lifecycle bugs: stale
-    baselines surviving drain/reap and negative deltas from rewound
-    integrals both used to corrupt the utilization signal."""
-
-    def test_utilization_clamps_rewound_integrals(self):
-        """A replica whose busy integral went backwards (crash/restart
-        resets runtime state) reads as idle — it must not cancel the
-        other replicas' work."""
-        hpa = HorizontalAutoscaler(HpaParams(interval=1.0))
-        crashed = _FakeReplica("svc@0", busy=1.0)
-        healthy = _FakeReplica("svc@1", busy=8.0)
-        hpa._last_busy = {"svc@0": 5.0, "svc@1": 7.5}
-        util = hpa._utilization([crashed, healthy])
-        # healthy contributed 0.5 busy over 2 allocated core-seconds;
-        # the crashed replica's −4.0 delta is clamped to zero.
-        assert util == pytest.approx(0.25)
+    """Regression tests for the busy-baseline lifecycle bug: stale
+    baselines surviving drain/reap used to corrupt the utilization
+    signal.  (Busy integrals never rewind: see
+    ``tests/cluster/test_container.py``.)"""
 
     def test_stale_baseline_evicted_while_not_ready(self):
         """A replica that leaves the READY set loses its baseline, so a
@@ -202,7 +207,7 @@ class TestBaselineAccounting:
         hpa = HorizontalAutoscaler(HpaParams(interval=1.0))
         hpa._last_busy = {"svc@0": 0.0, "svc@1": 0.0}  # stale baseline
         util = hpa._utilization([steady, revived])
-        assert util > hpa.params.target_utilization
+        assert util > horizontal.TARGET_UTILIZATION
 
     def test_revive_after_drain_end_to_end(self):
         """Scale-in under idle load, then a late surge that revives the

@@ -2,30 +2,27 @@
 
 import pytest
 
-from repro.controllers.ml_central import CentralizedMLController, MLParams
+from repro.controllers import ml_central
+from repro.controllers.ml_central import CentralizedMLController
 from repro.core import SurgeGuardConfig, SurgeGuardController
+from repro.exec import spec
 from repro.experiments.harness import run_experiment
 from tests.controllers.conftest import mini_config
 
 
 class TestParams:
     def test_defaults_match_cited_properties(self):
-        p = MLParams()
-        assert p.interval >= 1.0  # Table I: >1s granularity
-        assert p.inference_delay > 0
-        assert p.collection_delay > 0
+        assert ml_central.INTERVAL >= 1.0  # Table I: >1s granularity
+        assert ml_central.INFERENCE_DELAY > 0
+        assert ml_central.COLLECTION_DELAY > 0
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            MLParams(interval=0.0)
-        with pytest.raises(ValueError):
-            MLParams(collection_delay=-1.0)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("field", ["interval", "collection_delay", "inference_delay"])
-    def test_non_finite_timing_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            MLParams(**{field: value})
+        """The latency model is fixed: a stale parameter raises when the
+        spec is made."""
+        with pytest.raises(TypeError):
+            spec("ml-central", interval=0.0)
+        with pytest.raises(TypeError):
+            spec("ml-central", collection_delay=-1.0)
 
 
 class TestBehavior:

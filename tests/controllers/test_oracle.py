@@ -36,6 +36,15 @@ class TestOracle:
         with pytest.raises(ValueError, match="detection_delay"):
             OracleController(RateSchedule(100.0), detection_delay=value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_headroom_rejected(self, value):
+        """NaN passes ``headroom < 1``; a run would finish profiling and
+        then fail converting the surge allocation to an integer."""
+        with pytest.raises(ValueError, match="^headroom must be"):
+            OracleController(
+                RateSchedule(100.0), detection_delay=0.0, headroom=value
+            )
+
     def test_zero_delay_beats_long_delay(self):
         base = mini_config(lambda: None)
         sched = surge_schedule(base)

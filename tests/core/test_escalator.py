@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core import SurgeGuardConfig, SurgeGuardController
+from repro.controllers.targets import TargetConfig
+from repro.core import SurgeGuardConfig, SurgeGuardController, config
+from repro.core.escalator import Escalator
 from repro.experiments.harness import run_experiment
 from tests.conftest import make_chain_app
 from tests.controllers.conftest import mini_config
@@ -17,9 +19,9 @@ class TestConfig:
     def test_defaults_follow_paper(self):
         cfg = SurgeGuardConfig()
         assert cfg.alpha == 0.5
-        assert cfg.sens_revoke_th == 0.02
+        assert config.SENS_REVOKE_TH == 0.02
         assert cfg.hold_factor == 2.0
-        assert cfg.hook_cost == pytest.approx(0.26e-6)
+        assert config.HOOK_COST == pytest.approx(0.26e-6)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -27,19 +29,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SurgeGuardConfig(alpha=1.5)
         with pytest.raises(ValueError):
-            SurgeGuardConfig(queue_th=0.5)
-        with pytest.raises(ValueError):
             SurgeGuardConfig(upscale_ttl=-1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize(
-        "field",
-        ["hook_cost", "enqueue_cost", "msr_cost", "stamp_duration", "hold_factor"],
-    )
+    @pytest.mark.parametrize("field", ["escalator_interval", "hold_factor"])
     def test_non_finite_timing_rejected(self, field, value):
-        """NaN passes a bare ``x < 0`` check; the config must still refuse it."""
-        with pytest.raises(ValueError, match=field):
+        """NaN and inf pass a bare ``<= 0`` check; the config must still
+        refuse them and name the field (a NaN interval would otherwise
+        fail only after profiling, naming the loop method)."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             SurgeGuardConfig(**{field: value})
+
+    def test_fractional_upscale_ttl_rejected(self):
+        """The TTL drops by one per hop, so 1.5 would reach a second hop
+        exactly as 2 does."""
+        with pytest.raises(ValueError, match="^upscale_ttl must be"):
+            SurgeGuardConfig(upscale_ttl=1.5)
 
 
 class TestSurgeResponse:
@@ -102,9 +107,6 @@ class TestStampPlumbing:
     def test_queue_violation_stamps_runtime(self, sim, make_cluster):
         """A queueBuildup violation must mark outgoing packets (Table II
         row 2: 'set pkt.upscale')."""
-        from repro.controllers.targets import TargetConfig
-        from repro.core.escalator import Escalator
-
         app = make_chain_app(3, pool=2)
         cluster = make_cluster(app)
         targets = TargetConfig(
@@ -126,9 +128,6 @@ class TestStampPlumbing:
         assert esc.last_scores["s2"] >= 1
 
     def test_exec_violation_scores_self_only(self, sim, make_cluster):
-        from repro.controllers.targets import TargetConfig
-        from repro.core.escalator import Escalator
-
         app = make_chain_app(2, pool=4)
         cluster = make_cluster(app)
         targets = TargetConfig(
@@ -143,3 +142,39 @@ class TestStampPlumbing:
         assert esc.last_scores["s0"] == 1
         assert esc.last_scores["s1"] == 0
         assert not cluster.runtimes["s0"].stamp_active
+
+
+class TestRegrettedReclaim:
+    def test_core_returns_and_cooldown_holds(self, sim, make_cluster):
+        """A Parties-style reclaim that provokes a violation is reverted
+        at the next cycle, and the container sits out further reclaims
+        until ``DOWNSCALE_COOLDOWN_CYCLES`` cycles after the first one."""
+        app = make_chain_app(1, pool=None, cores=2.0)
+        cluster = make_cluster(app, cores_per_node=8)
+        targets = TargetConfig(
+            expected_exec_metric={"s0": 4e-3},
+            expected_exec_time={"s0": 4e-3},
+            expected_time_from_start={"s0": 4e-3},
+            qos_target=10e-3,
+        )
+        esc = Escalator(sim, cluster.node_views[0], SurgeGuardConfig(), targets)
+        comfortable, violating = 1e-3, 10e-3  # against a 4 ms envelope
+
+        def cycle(exec_time):
+            sim.run(until=sim.now + 0.1)
+            cluster.runtimes["s0"].on_complete(exec_time=exec_time, conn_wait=0.0)
+            esc.decide()
+            return cluster.containers["s0"].cores
+
+        patience = config.DOWNSCALE_PATIENCE
+        cooldown = config.DOWNSCALE_COOLDOWN_CYCLES
+        assert (patience, cooldown) == (10, 20)
+        cores = [cycle(comfortable) for _ in range(patience)]
+        assert cores == [2.0] * (patience - 1) + [1.0]
+        # The reclaim made s0 violate: the core comes straight back.
+        assert cycle(violating) == 2.0
+        # While exempt, s0 is left out of the comfort count altogether:
+        # its streak restarts ``cooldown`` cycles after the first
+        # reclaim, and the next reclaim needs a full patience from there.
+        cores = [cycle(comfortable) for _ in range(cooldown + patience - 2)]
+        assert cores == [2.0] * (cooldown + patience - 3) + [1.0]

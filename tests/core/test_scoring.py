@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.runtime import RuntimeWindow
-from repro.core.config import SurgeGuardConfig
+from repro.core.config import EXEC_TH, QUEUE_TH, SurgeGuardConfig
 from repro.core.scoring import UPSCALE_RULES, score_container
 
 
@@ -82,20 +82,20 @@ class TestTableII:
 
 class TestThresholds:
     def test_queue_th_boundary(self):
-        at = score_container("c", window(qb=CFG.queue_th), EXPECTED, EXPECTED, CFG)
+        at = score_container("c", window(qb=QUEUE_TH), EXPECTED, EXPECTED, CFG)
         above = score_container(
-            "c", window(qb=CFG.queue_th + 0.01), EXPECTED, EXPECTED, CFG
+            "c", window(qb=QUEUE_TH + 0.01), EXPECTED, EXPECTED, CFG
         )
         assert not at.queue_violation
         assert above.queue_violation
 
     def test_exec_th_boundary(self):
         at = score_container(
-            "c", window(exec_metric=EXPECTED * CFG.exec_th), EXPECTED, EXPECTED, CFG
+            "c", window(exec_metric=EXPECTED * EXEC_TH), EXPECTED, EXPECTED, CFG
         )
         above = score_container(
             "c",
-            window(exec_metric=EXPECTED * CFG.exec_th * 1.01, exec_time=EXPECTED * 1.01),
+            window(exec_metric=EXPECTED * EXEC_TH * 1.01, exec_time=EXPECTED * 1.01),
             EXPECTED,
             EXPECTED,
             CFG,

@@ -4,7 +4,7 @@ decentralization contract."""
 import pytest
 
 from repro.controllers.null import NullController
-from repro.controllers.parties import PartiesController, PartiesParams
+from repro.controllers.parties import PartiesController
 from repro.core import SurgeGuardConfig, SurgeGuardController
 from repro.experiments.harness import run_experiment
 from tests.conftest import make_chain_app
@@ -90,7 +90,7 @@ class TestDecentralization:
 class TestEndToEnd:
     def test_beats_parties_on_long_surge(self):
         parties = run_experiment(
-            mini_config(lambda: PartiesController(PartiesParams(interval=0.1)))
+            mini_config(lambda: PartiesController(interval=0.1))
         )
         sg = run_experiment(mini_config(SurgeGuardController))
         assert sg.violation_volume < parties.violation_volume

@@ -20,8 +20,8 @@ class TestSpecConstruction:
             assert expected in names
 
     def test_params_are_order_insensitive(self):
-        a = spec("parties", interval=0.25, core_step=2.0)
-        b = spec("parties", core_step=2.0, interval=0.25)
+        a = spec("hpa", interval=0.25, launch_delay=1.0)
+        b = spec("hpa", launch_delay=1.0, interval=0.25)
         assert a == b
         assert hash(a) == hash(b)
 
@@ -40,7 +40,7 @@ class TestSpecBuild:
 
     def test_params_route_into_controller(self):
         ctrl = spec("parties", interval=0.25)()
-        assert ctrl.params.interval == 0.25
+        assert ctrl.interval == 0.25
 
     def test_escalator_is_surgeguard_without_fast_path(self):
         ctrl = spec("escalator")()
@@ -53,9 +53,22 @@ class TestSpecBuild:
         assert ctrl.config.alpha == 0.7
 
     def test_bad_param_name_raises_at_build(self):
-        s = spec("surgeguard", not_a_knob=1)
+        """``spec()`` builds the controller once, so a parameter the
+        controller does not take raises before any run starts."""
         with pytest.raises(TypeError):
-            s()
+            spec("surgeguard", not_a_knob=1)
+
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("surgeguard", "escalator_interval", float("nan")),
+            ("parties", "interval", float("inf")),
+            ("hybrid", "max_replicas", 2.5),
+        ],
+    )
+    def test_bad_param_value_raises_at_build(self, name, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            spec(name, **{field: value})
 
 
 class TestSpecPickling:
@@ -83,31 +96,21 @@ class TestZooSpecs:
         assert "statuscale" in names
         assert "lsram" in names
 
-    def test_statuscale_params_route(self):
+    def test_zoo_specs_pickle_roundtrip(self):
+        from repro.controllers.lsram import LsramController
         from repro.controllers.statuscale import StatuScaleController
 
-        ctrl = spec("statuscale", interval=0.1, headroom=1.5)()
-        assert isinstance(ctrl, StatuScaleController)
-        assert ctrl.params.interval == 0.1
-        assert ctrl.params.headroom == 1.5
-
-    def test_lsram_params_route(self):
-        from repro.controllers.lsram import LsramController
-
-        ctrl = spec("lsram", interval=0.1, demand_margin=1.2)()
-        assert isinstance(ctrl, LsramController)
-        assert ctrl.params.interval == 0.1
-        assert ctrl.params.demand_margin == 1.2
-
-    def test_zoo_specs_pickle_roundtrip(self):
-        for name in ("statuscale", "lsram"):
-            s = spec(name, interval=0.2)
+        zoo = (("statuscale", StatuScaleController), ("lsram", LsramController))
+        for name, cls in zoo:
+            s = spec(name)
             clone = pickle.loads(pickle.dumps(s))
             assert clone == s
-            assert clone().params.interval == 0.2
+            assert isinstance(clone(), cls)
 
     def test_bad_zoo_param_raises_at_build(self):
-        s = spec("lsram", not_a_knob=3)
-        with pytest.raises(TypeError):
-            s()
+        """The zoo controllers take no parameters: a stale one raises
+        when the spec is made."""
+        for name in ("statuscale", "lsram"):
+            with pytest.raises(TypeError):
+                spec(name, interval=0.1)
 
