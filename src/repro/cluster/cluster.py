@@ -450,7 +450,7 @@ class Cluster:
         ``start_time`` is stamped now — the simulation equivalent of the
         first container setting it, since the client→root hop is part of
         the end-to-end budget either way.  The request is a pooled packet
-        that the serving instance releases at completion.
+        that the serving instance returns as its response.
 
         ``on_response`` fires once with the response (check ``error``),
         or with ``None`` when an armed RPC layer exhausts the call.
@@ -458,8 +458,8 @@ class Cluster:
         self._ingress_count += 1
         net = self.network
         pkt = net.pool.acquire(
-            request_id, REQUEST, CLIENT, self.app.root, self.sim.now,
-            context=on_response,
+            request_id, REQUEST, CLIENT, self.app.root, self.sim.now, 0, False,
+            on_response,
         )
         if self.rpc is None:
             net.send(pkt)

@@ -32,10 +32,11 @@ exact and is kept (the common case for arrivals under ``c ≥ n`` and for
 pure accounting syncs).
 
 A phase that finishes on its completion tick costs that one event: the
-tick runs the continuations (``done(*args)``) of the phases it
-finished itself, in finish order, after its step has updated the
-container.  A phase can also finish off the tick — a ``submit`` of zero
-or sub-epsilon work, or a ``set_*`` / ``sync`` landing exactly on a
+tick is the step itself (``_step(None, True)``), and it runs the
+continuations (``done(*args)``) of the phases it finished, in finish
+order, once it has updated the container and rescheduled itself.  A
+phase can also finish off the tick — a ``submit`` of zero or
+sub-epsilon work, or a ``set_*`` / ``sync`` landing exactly on a
 completion.  Then the caller is still mid-call and a continuation may
 re-enter ``submit`` / ``set_cores``, so the continuation waits for a
 zero-delay event of its own: no continuation ever runs inside
@@ -103,8 +104,10 @@ class Container:
         cores: float = 1.0,
         frequency: Optional[float] = None,
     ):
-        if cores <= 0:
-            raise ValueError(f"container {name!r}: cores must be positive")
+        if not 0.0 < cores < math.inf:
+            raise ValueError(
+                f"cores must be finite and positive, got {cores!r} (container {name!r})"
+            )
         self.sim = sim
         self.name = name
         self.dvfs = dvfs
@@ -125,8 +128,9 @@ class Container:
         self._jid = itertools.count()
         self._last_t = sim.now
         self._next: Optional[EventHandle] = None
-        # Bound once: the completion tick is scheduled on most steps.
-        self._tick = self._on_tick
+        # Bound once: the completion tick, ``_step(None, True)``, is
+        # scheduled on most steps.
+        self._tick = self._step
         #: A reaped replica's container stops accruing alloc/freq
         #: integrals (its cores are returned to the node) until revived.
         self.decommissioned = False
@@ -181,8 +185,11 @@ class Container:
     # ------------------------------------------------------------- control
     def set_cores(self, cores: float) -> None:
         """Change the core allocation (controller-facing)."""
-        if cores <= 0:
-            raise ValueError(f"container {self.name!r}: cores must be positive")
+        if not 0.0 < cores < math.inf:
+            raise ValueError(
+                f"cores must be finite and positive, got {cores!r} "
+                f"(container {self.name!r})"
+            )
         if cores == self._cores:
             return
         self._step(cores=float(cores))
@@ -257,7 +264,7 @@ class Container:
                 f"work_cycles must be finite and non-negative, got {work_cycles!r}"
             )
         jid = next(self._jid)
-        self._step(_Job(jid, work_cycles, done, args))
+        self._step(_Job(jid, work_cycles, done, args), False)
         return jid
 
     def sync(self) -> None:
@@ -271,23 +278,23 @@ class Container:
     def _step(
         self,
         job: Optional[_Job] = None,
+        tick: bool = False,
         *,
         cores: Optional[float] = None,
         freq: Optional[float] = None,
         speed: Optional[float] = None,
         kill: bool = False,
-        tick: bool = False,
-    ) -> Tuple[_Job, ...]:
+    ) -> None:
         """One processor-sharing step at the current time.
 
         Integrates progress and accounting from ``_last_t`` to now under
         the settings in force since then, applies the new ``cores`` /
         ``freq`` / ``speed`` (``None`` keeps one), admits ``job``, and
         (re-)issues the next-completion event.  ``kill`` discards every
-        job after the accounting, without firing callbacks.  Returns the
-        finished jobs in finish order; their continuations are scheduled
-        as zero-delay events unless ``tick`` says the caller (the
-        completion tick) runs them itself.
+        job after the accounting, without firing callbacks.  The
+        finished jobs' continuations are scheduled as zero-delay events,
+        unless ``tick`` says this step is the completion tick: then it
+        runs them itself, in finish order, once the step is complete.
 
         A single pass over the jobs burns the progress, collects the
         finished ones (within epsilon) and picks the winner.  The burn
@@ -307,6 +314,8 @@ class Container:
         """
         sim = self.sim
         now = sim.now
+        if tick:
+            self._next = None  # the event firing now
         dt = now - self._last_t
         if dt < 0:  # pragma: no cover - engine guarantees monotonic time
             raise RuntimeError("time went backwards")
@@ -363,41 +372,40 @@ class Container:
             # tick, the caller (an invocation's submit, a controller's
             # set_cores) is still mid-call, so each one waits for a
             # zero-delay event of its own; the tick runs them itself
-            # once this step is complete (_on_tick).
+            # once this step is complete (below).
             for j in finished:
                 del jobs[j.jid]
                 if not tick:
                     sim.schedule_at(now, j.done, *j.args)
 
         pending = self._next
-        if not jobs:
-            if pending is not None:
-                pending.cancel()
-                self._next = None
-            return finished
-        share = self._cores / len(jobs)
-        # Positive: cores, frequency and speed factor are validated positive.
-        rate = self._peak_rate * (share if share < 1.0 else 1.0)
-        if (
-            pending is not None
-            and pending.fn is not None
-            and self._next_jid == winner.jid
-            and self._next_rate == rate
-        ):
-            return finished  # the pending event's fire time is unchanged
-        if pending is not None:
+        if jobs:
+            share = self._cores / len(jobs)
+            # Positive: cores, frequency and speed factor are validated
+            # positive.
+            rate = self._peak_rate * (share if share < 1.0 else 1.0)
+            if (
+                pending is None
+                or pending.fn is None
+                or self._next_jid != winner.jid
+                or self._next_rate != rate
+            ):
+                if pending is not None:
+                    pending.cancel()
+                self._next = sim.schedule_at(
+                    now + min_rem / rate, self._tick, None, True
+                )
+                self._next_jid = winner.jid
+                self._next_rate = rate
+            # else the pending event's fire time is unchanged
+        elif pending is not None:
             pending.cancel()
-        self._next = sim.schedule_at(now + min_rem / rate, self._tick)
-        self._next_jid = winner.jid
-        self._next_rate = rate
-        return finished
-
-    def _on_tick(self) -> None:
-        self._next = None
-        # The step is complete before any continuation runs, so one that
-        # resubmits here sees the finished phases gone.
-        for j in self._step(tick=True):
-            j.done(*j.args)
+            self._next = None
+        if tick:
+            # The step is complete before any continuation runs, so one
+            # that resubmits here sees the finished phases gone.
+            for j in finished:
+                j.done(*j.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,8 +24,14 @@ time), keeping ``execMetric = execTime − wait`` non-negative.
 Continuations follow one convention, ``fn, *args`` (``Container.submit``,
 ``ConnectionPool.acquire``): a bound method and the request state, never
 a closure per call.  A sequential child's pool follows from the request's
-``child_idx``, so its reply continuation is a bound method of the request
-state; a parallel branch binds its pool with :func:`functools.partial`.
+``child_idx``, so its reply continuation is the request state's bound
+:meth:`_Invocation.sequential_reply`, which also starts the next child;
+a parallel branch binds its pool with :func:`functools.partial`.
+
+One packet serves a whole RPC: a child call acquires the request, and
+the server turns it into its response in place
+(:func:`repro.cluster.packet.respond`), which the network releases after
+delivering it.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import BLOCK, block_draws
 from repro.cluster.container import Container
 from repro.cluster.network import Network
-from repro.cluster.packet import REQUEST, RESPONSE, RpcPacket
+from repro.cluster.packet import REQUEST, RESPONSE, RpcPacket, respond
 from repro.cluster.runtime import ContainerRuntime
 from repro.cluster.threadpool import ConnectionPool
 from repro.services.taskgraph import SEQUENTIAL, ServiceSpec
@@ -83,8 +89,25 @@ class _Invocation:
         self.dead = False
 
     def sequential_reply(self, resp: Optional[RpcPacket]) -> None:
-        """Reply continuation of this request's current sequential child."""
-        self.instance._sequential_child_done(self, resp)
+        """Reply continuation of this request's current sequential child:
+        release its connection, then call the next child or start the
+        post-work."""
+        if self.dead:
+            return
+        instance = self.instance
+        edges = instance._edges
+        edges[self.child_idx][1].release()
+        if resp is None or resp.error:
+            # Child failed (retry exhaustion or explicit error): skip the
+            # remaining children — the request cannot succeed anyway.
+            instance._finish_error(self)
+            return
+        idx = self.child_idx + 1
+        self.child_idx = idx
+        if idx < len(edges):
+            edges[idx][1].acquire(instance._sequential_granted, self)
+        else:
+            instance._after_children(self)
 
 
 class ServiceInstance:
@@ -127,6 +150,7 @@ class ServiceInstance:
         self.pools = pools
         #: ``(child name, pool)`` per outgoing edge, in call order.
         self._edges = tuple((e.child, pools[e.child]) for e in spec.children)
+        self._sequential = spec.fanout == SEQUENTIAL
         self.rng = rng
         # One shared iterator per standard-variate kind, so same-kind pre
         # and post phases read the stream in request order, as scalar
@@ -235,23 +259,31 @@ class ServiceInstance:
     def _call_child(self, inv: _Invocation, dst: str, on_reply) -> None:
         """Send ``inv``'s job to child ``dst``: directly, or via the RPC layer.
 
-        The request is a pooled packet either way, and the server that
-        completes it releases it.  ``on_reply(resp)`` fires once with the
-        response (check ``resp.error``), or with ``None`` when the RPC
-        layer exhausts the call.  The direct path is the fault-free hot
-        path (one ``is None`` check of separation).
+        The request is a pooled packet either way; ``start_time``
+        propagates unchanged and the runtime sets the ``upscale`` hint.
+        The server returns it as its response.  ``on_reply(resp)`` fires
+        once with the response (check ``resp.error``), or with ``None``
+        when the RPC layer exhausts the call.  The direct path is the
+        fault-free hot path (one ``is None`` check of separation).
         """
-        out = self.network.pool.fork_downstream(
-            inv.pkt,
-            dst=dst,
-            src=self.name,
-            upscale=self.runtime.outgoing_upscale(inv.upscale_in),
-        )
+        net = self.network
+        pkt = inv.pkt
+        upscale = self.runtime.outgoing_upscale(inv.upscale_in)
         if self.rpc is None:
-            out.context = on_reply
-            self.network.send(out)
+            net.send(
+                net.pool.acquire(
+                    pkt.request_id, REQUEST, self.name, dst, pkt.start_time,
+                    upscale, False, on_reply,
+                )
+            )
         else:
-            self.rpc.call(out, on_reply)
+            self.rpc.call(
+                net.pool.acquire(
+                    pkt.request_id, REQUEST, self.name, dst, pkt.start_time,
+                    upscale,
+                ),
+                on_reply,
+            )
 
     # ------------------------------------------------------------- children
     def _after_pre(self, inv: _Invocation) -> None:
@@ -261,38 +293,18 @@ class ServiceInstance:
         if not edges:
             self._after_children(inv)
             return
-        if self.spec.fanout == SEQUENTIAL:
-            self._start_sequential_child(inv)
+        if self._sequential:
+            edges[0][1].acquire(self._sequential_granted, inv)
         else:
             inv.pending = len(edges)
             for child, pool in edges:
                 pool.acquire(self._parallel_granted, inv, child, pool)
-
-    def _start_sequential_child(self, inv: _Invocation) -> None:
-        self._edges[inv.child_idx][1].acquire(self._sequential_granted, inv)
 
     def _sequential_granted(self, wait: float, inv: _Invocation) -> None:
         if inv.dead:
             return  # pool was flushed with the crash; do not send
         inv.conn_wait += wait
         self._call_child(inv, self._edges[inv.child_idx][0], inv.sequential_reply)
-
-    def _sequential_child_done(
-        self, inv: _Invocation, resp: Optional[RpcPacket]
-    ) -> None:
-        if inv.dead:
-            return
-        self._edges[inv.child_idx][1].release()
-        if resp is None or resp.error:
-            # Child failed (retry exhaustion or explicit error): skip the
-            # remaining children — the request cannot succeed anyway.
-            self._finish_error(inv)
-            return
-        inv.child_idx += 1
-        if inv.child_idx < len(self._edges):
-            self._start_sequential_child(inv)
-        else:
-            self._after_children(inv)
 
     def _parallel_granted(
         self, wait: float, inv: _Invocation, child: str, pool: ConnectionPool
@@ -335,13 +347,10 @@ class ServiceInstance:
         self.requests_completed += 1
         exec_time = self.sim.now - inv.t_arrive
         self.runtime.on_complete(exec_time, inv.conn_wait)
-        net = self.network
-        pkt = inv.pkt
-        net.send(net.pool.make_response(pkt, src=self.name))
-        # Server-side release point: the request's life ends once its
-        # response is built.  An RPC caller keeps the call's fields, never
-        # this packet, so a retry racing it is a packet of its own.
-        net.pool.release(pkt)
+        # The request becomes its response.  An RPC caller keeps the
+        # call's fields, never this packet, so a retry racing it is a
+        # packet of its own.
+        self.network.send(respond(inv.pkt, self.name))
 
     def _finish_error(self, inv: _Invocation) -> None:
         """Complete ``inv`` as a failure: error response, no metrics.
@@ -353,7 +362,4 @@ class ServiceInstance:
         inv.dead = True  # any straggling branch callback must no-op
         self._live.discard(inv)
         self.requests_failed += 1
-        net = self.network
-        pkt = inv.pkt
-        net.send(net.pool.make_response(pkt, src=self.name, error=True))
-        net.pool.release(pkt)
+        self.network.send(respond(inv.pkt, self.name, True))

@@ -31,10 +31,12 @@ window:
   time is monotonic on the send path), so long runs never scan dead
   surges.
 * **Packet recycling** — the network owns a
-  :class:`~repro.cluster.packet.PacketPool`; delivery is the central
-  release point for responses, so the steady state re-circulates a
-  handful of packet objects instead of allocating one per hop
-  (DESIGN.md §8).
+  :class:`~repro.cluster.packet.PacketPool`; a server turns each request
+  into its response in place, and delivery is the central release point
+  for responses, so the steady state re-circulates a handful of packet
+  objects instead of allocating one per RPC (DESIGN.md §8).
+* **One bound delivery** — every send schedules the same bound
+  ``_deliver``, made once at construction.
 """
 
 from __future__ import annotations
@@ -111,13 +113,14 @@ class Network:
         self.config = config
         self.rng = rng
         #: Free-list recycler and the one builder of packets: client
-        #: requests, downstream requests, responses and RPC retries all
-        #: come from it.  The network owns it because the network is the
-        #: one place every packet passes: responses are released centrally
+        #: requests, downstream requests and RPC retries all come from
+        #: it, and a server turns each request into its response in
+        #: place.  The network owns it because the network is the one
+        #: place every packet passes: responses are released centrally
         #: in :meth:`_deliver` once the destination handler returns
         #: (nothing retains a response — callers copy what they need
         #: synchronously), and an armed loss window or an unroutable
-        #: request releases what it discards.  Servers release requests.
+        #: request releases what it discards.
         self.pool = PacketPool()
         self._endpoints: Dict[str, Tuple[Optional[Node], Endpoint]] = {}
         self._surges: List[_LatencySurge] = []
@@ -147,6 +150,8 @@ class Network:
         self._surge_active = 0.0
         self._surge_from = -math.inf
         self._surge_until = math.inf
+        # Bound once: every send schedules it.
+        self._delivery = self._deliver
 
     def add_observer(self, fn: Endpoint) -> None:
         """Register a read-only tap invoked on *every* delivery —
@@ -277,7 +282,7 @@ class Network:
         # ``schedule(base, ...)`` without its delay check: ``base`` is
         # non-negative by construction, and ``schedule_at`` still
         # rejects a non-finite time.
-        sim.schedule_at(t + base, self._deliver, packet, dst_node, handler)
+        sim.schedule_at(t + base, self._delivery, packet, dst_node, handler)
 
     def _deliver(
         self, packet: RpcPacket, node: Optional[Node], handler: Endpoint
@@ -288,8 +293,11 @@ class Network:
         if node is not None:
             for hook in node._hook_fns:
                 hook(packet)
+        # Read first: a server that completes a request inside its
+        # handler has already sent the same packet back as its response.
+        response = packet.kind == RESPONSE
         handler(packet)
-        if packet.kind == RESPONSE:
+        if response:
             # Central release point: a response's life ends with its
             # delivery — every consumer (client callback, invocation
             # continuation, RPC reply latch, monitors, tracer) reads it

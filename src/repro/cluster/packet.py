@@ -16,17 +16,19 @@ Two fields implement the paper's protocol extension:
 Packets also carry plumbing for the simulation itself (routing ids and a
 reference to the in-flight call record); controllers never read those.
 
-**Allocation discipline.**  One packet per hop is the dominant hot-path
-allocation, so the network owns a :class:`PacketPool`, and the pool is
-the only place the simulator builds a packet: the client's request,
-every downstream request, every response and every RPC retry.  Packets
-go back to a free list at explicit release points (central response
-release after delivery, loss-window drop, server-side request release
-at completion — see DESIGN.md §8) and are reused by the next acquire.
-Pool management is tracked per object in ``_pool_state``, so a packet
-built outside the pool (a test, or any packet under ``REPRO_POOL=0``)
-is simply never recycled; releasing one is a no-op and
-double-releasing a pooled one always raises.
+**Allocation discipline.**  One packet per RPC is the dominant hot-path
+allocation, so the network owns a :class:`PacketPool`, and
+:meth:`PacketPool.acquire` is the only place the simulator builds a
+packet: the client's request, every downstream request and every RPC
+retry.  A response is not a packet of its own: :func:`respond` turns
+the served request into its response in place, so one RPC is one
+acquire and one release.  Packets go back to a free list at explicit
+release points (central response release after delivery, loss-window
+drop, unroutable request — see DESIGN.md §8) and are reused by the
+next acquire.  Pool management is tracked per object in
+``_pool_state``, so a packet built outside the pool (a test, or any
+packet under ``REPRO_POOL=0``) is simply never recycled; releasing one
+is a no-op and double-releasing a pooled one always raises.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Any, List, Optional
 
 from repro.sim.recycle import pool_debug, pool_enabled
 
-__all__ = ["PacketPool", "PoolError", "RpcPacket", "REQUEST", "RESPONSE"]
+__all__ = ["PacketPool", "PoolError", "RpcPacket", "REQUEST", "RESPONSE", "respond"]
 
 REQUEST = "request"
 RESPONSE = "response"
@@ -97,6 +99,26 @@ def _poison_context(*_args: Any, **_kwargs: Any) -> None:
 _POISON = "\x00released-packet\x00"
 
 
+def respond(pkt: RpcPacket, src: str, error: bool = False) -> RpcPacket:
+    """Turn the served request ``pkt`` into its own response, in place.
+
+    The response goes back to the request's sender from ``src`` (the
+    serving instance), with no ``upscale`` hint.  ``request_id``,
+    ``start_time`` and ``context`` (the caller's continuation) already
+    hold what the response carries, and the network stamps
+    ``send_time`` on send, so they are kept.  A server holds its request
+    until it completes and never reads it afterwards, so the request
+    needs no release of its own: the one packet of the RPC is released
+    where every response is, after its delivery.
+    """
+    pkt.kind = RESPONSE
+    pkt.dst = pkt.src
+    pkt.src = src
+    pkt.upscale = 0
+    pkt.error = error
+    return pkt
+
+
 class PacketPool:
     """Free-list recycler for hot-path :class:`RpcPacket` objects.
 
@@ -142,11 +164,14 @@ class PacketPool:
         dst: str,
         start_time: float,
         upscale: int = 0,
-        *,
         error: bool = False,
         context: Optional[Any] = None,
     ) -> RpcPacket:
-        """A packet with the given fields — recycled when possible."""
+        """A packet with the given fields — recycled when possible.
+
+        Every field can be passed by position, as a child call passes
+        all eight.
+        """
         free = self._free
         if free:
             pkt = free.pop()
@@ -163,52 +188,12 @@ class PacketPool:
             self.recycled += 1
             return pkt
         pkt = RpcPacket(
-            request_id=request_id,
-            kind=kind,
-            src=src,
-            dst=dst,
-            start_time=start_time,
-            upscale=upscale,
-            error=error,
-            context=context,
+            request_id, kind, src, dst, start_time, upscale, 0.0, error, context
         )
         self.constructed += 1
         if self.enabled:
             pkt._pool_state = _LIVE
         return pkt
-
-    def fork_downstream(
-        self, pkt: RpcPacket, *, dst: str, src: str, upscale: int
-    ) -> RpcPacket:
-        """The request packet for the next hop of ``pkt``'s job.
-
-        ``start_time`` propagates unchanged; the ``upscale`` TTL is
-        supplied by the caller (the container runtime applies the
-        decrement/stamping rules — see
-        :meth:`repro.cluster.runtime.ContainerRuntime.outgoing_upscale`).
-        """
-        return self.acquire(
-            pkt.request_id, REQUEST, src, dst, pkt.start_time, upscale
-        )
-
-    def make_response(
-        self, pkt: RpcPacket, *, src: str, error: bool = False
-    ) -> RpcPacket:
-        """The response to request ``pkt``, routed back to its sender.
-
-        It carries the request's ``context`` (the caller's continuation)
-        and ``start_time``, and no ``upscale`` hint.
-        """
-        return self.acquire(
-            pkt.request_id,
-            RESPONSE,
-            src,
-            pkt.src,
-            pkt.start_time,
-            0,
-            error=error,
-            context=pkt.context,
-        )
 
     # --------------------------------------------------------------- release
     def release(self, pkt: RpcPacket) -> None:

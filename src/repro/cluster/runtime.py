@@ -135,8 +135,10 @@ class ContainerRuntime:
         if exec_time < 0 or conn_wait < 0:
             raise ValueError("negative timing")
         # Clamp: with parallel fan-out the accumulated wait is capped by the
-        # invocation layer, but guard against float slop regardless.
-        conn_wait = min(conn_wait, exec_time)
+        # invocation layer, but guard against float slop regardless.  The
+        # same float as ``min(conn_wait, exec_time)``, without the call.
+        if exec_time < conn_wait:
+            conn_wait = exec_time
         metric = exec_time - conn_wait
         self._sum_exec += exec_time
         self._sum_wait += conn_wait

@@ -22,6 +22,7 @@ runtime metrics and by the tests' invariant checks.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
@@ -57,8 +58,10 @@ class ConnectionPool:
         setup_latency: float = 20e-6,
         name: str = "",
     ):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"pool capacity must be >= 1 or None, got {capacity!r}")
+        if capacity is not None and not 1 <= capacity < math.inf:
+            raise ValueError(
+                f"capacity must be finite and >= 1, or None, got {capacity!r}"
+            )
         if setup_latency < 0:
             raise ValueError("setup_latency must be non-negative")
         self.sim = sim

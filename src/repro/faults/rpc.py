@@ -20,8 +20,9 @@ standard client-library loop (gRPC/Finagle shape):
 Packet ownership is the direct path's: the caller's pooled packet is
 attempt 1, and every retry is a fresh packet from the network's pool,
 built from the fields the call keeps.  The call never holds a packet, so
-the server releases each request at completion and a loss-window drop
-releases what it drops, whichever attempt it was.
+the server turns each request into its response, which the network
+releases after delivery, and a loss-window drop releases what it drops,
+whichever attempt it was.
 
 Determinism: backoff jitter is the only randomness and comes from the
 dedicated ``faults.rpc`` stream, so arming the layer with a no-fault

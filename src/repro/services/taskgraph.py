@@ -118,8 +118,11 @@ class EdgeSpec:
     pool_size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.pool_size is not None and self.pool_size < 1:
-            raise ValueError("pool_size must be >= 1 or None")
+        size = self.pool_size
+        if size is not None and (
+            isinstance(size, bool) or not isinstance(size, int) or size < 1
+        ):
+            raise ValueError(f"pool_size must be an int >= 1 or None, got {size!r}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,10 @@ class ServiceSpec:
     def __post_init__(self) -> None:
         if self.fanout not in (SEQUENTIAL, PARALLEL):
             raise ValueError(f"unknown fanout mode {self.fanout!r}")
-        if self.initial_cores <= 0:
-            raise ValueError("initial_cores must be positive")
+        if not 0.0 < self.initial_cores < math.inf:
+            raise ValueError(
+                f"initial_cores must be finite and positive, got {self.initial_cores!r}"
+            )
         seen = set()
         for e in self.children:
             if e.child in seen:

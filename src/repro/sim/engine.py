@@ -74,7 +74,12 @@ class EventHandle:
         self.owner = owner
 
     def cancel(self) -> None:
-        """Cancel the event.  Idempotent; cancelling a fired event is a no-op."""
+        """Cancel the event.  Idempotent; cancelling a fired event is a no-op.
+
+        Counts the lazily-cancelled entry on the owning simulator and,
+        past :attr:`Simulator._COMPACT_MIN` of them, offers the heap for
+        compaction.
+        """
         if self.fn is None:
             return
         # Drop references so a cancelled handle retained by user code does not
@@ -83,7 +88,10 @@ class EventHandle:
         self.args = ()
         # Only now, so a compaction this cancel triggers already sees the
         # entry as dead and drops it along with the count it resets.
-        self.owner._note_cancel()
+        sim = self.owner
+        sim._cancelled_pending += 1
+        if sim._cancelled_pending >= Simulator._COMPACT_MIN:
+            sim._compact()
 
     @property
     def active(self) -> bool:
@@ -127,8 +135,8 @@ class Simulator:
     )
 
     #: Compact the heap once this many lazily-cancelled entries pile up
-    #: *and* they outnumber the live ones (see :meth:`_note_cancel`).
-    _COMPACT_MIN = 512
+    #: *and* they outnumber the live ones (see :meth:`_compact`).
+    _COMPACT_MIN = 64
 
     def __init__(self, start_time: float = 0.0):
         #: Current simulated time in seconds.  A plain attribute, read on
@@ -223,18 +231,18 @@ class Simulator:
         heappush(self._heap, (time, seq, handle))
         return handle
 
-    def _note_cancel(self) -> None:
-        """Bookkeeping hook called by :meth:`EventHandle.cancel`.
+    def _compact(self) -> None:
+        """Rebuild the heap without its lazily-cancelled entries, if they
+        make up over half of it.
 
-        Once lazily-cancelled entries both exceed a fixed floor and make
-        up over half the heap, rebuild it without them: the container
-        rescheduling pattern can otherwise leave it dominated by dead
-        entries.  A dropped handle goes on the free list when
-        ``sys.getrefcount`` proves its heap entry held the last reference.
+        :meth:`EventHandle.cancel` calls this once the cancelled entries
+        reach the floor :attr:`_COMPACT_MIN`: RPC timers and the
+        container rescheduling pattern can otherwise leave the heap
+        dominated by dead entries.  Live entries keep their
+        ``(time, seq)`` keys, so the pop order is unchanged.  A dropped
+        handle goes on the free list when ``sys.getrefcount`` proves its
+        heap entry held the last reference.
         """
-        self._cancelled_pending += 1
-        if self._cancelled_pending < self._COMPACT_MIN:
-            return
         heap = self._heap
         if self._cancelled_pending * 2 > len(heap):
             free = self._free

@@ -121,6 +121,14 @@ class TestDynamicReconfiguration:
         with pytest.raises(ValueError):
             container.set_cores(0.0)
 
+    @pytest.mark.parametrize("cores", [math.nan, math.inf])
+    def test_non_finite_cores_rejected(self, sim, dvfs, container, cores):
+        with pytest.raises(ValueError, match="^cores must be"):
+            Container(sim, "bad", dvfs, cores=cores)
+        with pytest.raises(ValueError, match="^cores must be"):
+            container.set_cores(cores)
+        assert container.cores == 2.0
+
     def test_noop_changes_are_cheap(self, sim, container):
         container.submit(1.6e9, lambda: None)
         before = sim.events_pending

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.packet import RpcPacket
+from repro.cluster.packet import REQUEST, RpcPacket
 from repro.services.taskgraph import AppSpec, EdgeSpec, ServiceSpec, WorkDist
 from repro.sim.rng import BLOCK, RngRegistry
 from tests.conftest import make_chain_app
@@ -144,6 +144,38 @@ class TestFanout:
         rt, waits = self._two_requests("parallel")
         assert rt.total_conn_wait == max(waits)
         assert rt.total_exec_metric > 0.0
+
+
+class TestOnePacketPerRpc:
+    """A server sends the request it served back as its response."""
+
+    def test_response_is_the_request_object(self, sim, make_cluster):
+        cluster = make_cluster(make_chain_app(3))
+        net = cluster.network
+        # (request id, caller, server) -> the request the server received.
+        # A packet stays live from its request's delivery to its
+        # response's, so the pool cannot hand it out in between.
+        received = {}
+        same = []
+
+        def observe(pkt):
+            if pkt.kind == REQUEST:
+                received[(pkt.request_id, pkt.src, pkt.dst)] = pkt
+            else:
+                same.append(received.pop((pkt.request_id, pkt.dst, pkt.src)) is pkt)
+
+        net.add_observer(observe)
+        done = []
+        for rid in range(20):
+            cluster.client_send(rid, done.append)
+        sim.run()
+        assert len(done) == 20
+        assert same == [True] * 60 and not received
+        # One acquisition per request; no response is built.
+        responses = sum(i.requests_completed for i in cluster.instances.values())
+        assert responses == 60
+        acquired = net.pool.constructed + net.pool.recycled
+        assert acquired == net.packets_sent - responses == 60
 
 
 class TestHintPropagation:

@@ -204,13 +204,16 @@ class TestHandleRecycling:
 
     def test_compaction_recycles_unreferenced_cancelled_handles(self):
         sim = Simulator()
-        n = Simulator._COMPACT_MIN + 88
+        # Fewer than the floor are left after the first compaction, so
+        # it is the only one.
+        rest = Simulator._COMPACT_MIN // 2
+        n = Simulator._COMPACT_MIN + rest
         handles = [sim.schedule(1.0, lambda: None) for _ in range(n)]
         # Cancelled and dropped one by one: the _COMPACT_MIN-th cancel
         # compacts the heap while its own handle is still referenced.
         while handles:
             handles.pop().cancel()
-        assert sim.events_pending == n - Simulator._COMPACT_MIN
+        assert sim.events_pending == rest
         for _ in range(Simulator._COMPACT_MIN - 1):
             sim.schedule(2.0, lambda: None)
         assert sim.handles_constructed == n
@@ -270,8 +273,9 @@ class TestSteadyStateChurn:
     CEILING_PER_100K = 2_000
 
     def measure(self, monkeypatch, pool, plan=None):
-        """(sends, fresh packets, recycled packets, fresh handles) over
-        the measured window; ``plan`` is armed on the cluster first."""
+        """(sends, responses, fresh packets, recycled packets, fresh
+        handles) over the measured window; ``plan`` is armed on the
+        cluster first."""
         monkeypatch.setenv("REPRO_POOL", pool)
         workload = get_workload("chain")
         sim = Simulator()
@@ -286,35 +290,46 @@ class TestSteadyStateChurn:
             duration=self.WARMUP + self.MEASURE,
         )
         client.begin()
+
+        def responses():
+            # Each completion, successful or not, sends one response.
+            return sum(
+                inst.requests_completed + inst.requests_failed
+                for inst in cluster.instances.values()
+            )
+
         sim.run(until=self.WARMUP)
-        sent0, packets0, recycled0, handles0 = (
-            net.packets_sent, net.pool.constructed, net.pool.recycled,
-            sim.handles_constructed,
+        sent0, responses0, packets0, recycled0, handles0 = (
+            net.packets_sent, responses(), net.pool.constructed,
+            net.pool.recycled, sim.handles_constructed,
         )
         sim.run(until=self.WARMUP + self.MEASURE)
         sent = net.packets_sent - sent0
         assert sent > 10_000
         return (
             sent,
+            responses() - responses0,
             net.pool.constructed - packets0,
             net.pool.recycled - recycled0,
             sim.handles_constructed - handles0,
         )
 
     def test_pooled_run_recycles_packets_and_handles(self, monkeypatch):
-        sent, packets, _, handles = self.measure(monkeypatch, "1")
+        sent, _, packets, _, handles = self.measure(monkeypatch, "1")
         assert (packets + handles) * 100_000 <= self.CEILING_PER_100K * sent
 
     def test_rpc_armed_run_takes_every_packet_from_the_pool(self, monkeypatch):
         # An RpcPolicy alone arms the timeout/retry layer on every hop and
-        # drops nothing, so each send is one acquisition: its request,
-        # the callee's response, or a retry.
+        # drops nothing, so each send but a response is one acquisition:
+        # a request or a retry.  A response is its request, sent back.
         plan = FaultPlan(rpc=RpcPolicy())
-        sent, packets, recycled, handles = self.measure(monkeypatch, "1", plan)
-        assert packets + recycled == sent
+        sent, responses, packets, recycled, handles = self.measure(
+            monkeypatch, "1", plan
+        )
+        assert packets + recycled == sent - responses
         assert (packets + handles) * 100_000 <= self.CEILING_PER_100K * sent
 
     def test_unpooled_run_builds_one_packet_per_send(self, monkeypatch):
-        sent, packets, _, handles = self.measure(monkeypatch, "0")
-        assert packets == sent
+        sent, responses, packets, _, handles = self.measure(monkeypatch, "0")
+        assert packets == sent - responses
         assert handles >= sent

@@ -1,6 +1,7 @@
 """Unit tests for connection pools (both threading models)."""
 
 import gc
+import math
 import weakref
 
 import pytest
@@ -63,6 +64,11 @@ class TestFixedPool:
     def test_invalid_capacity_rejected(self, sim):
         with pytest.raises(ValueError):
             ConnectionPool(sim, 0)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf])
+    def test_non_finite_capacity_rejected(self, sim, capacity):
+        with pytest.raises(ValueError, match="^capacity must be"):
+            ConnectionPool(sim, capacity)
 
 
 class TestPerRequest:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster.frequency import DvfsModel
 from repro.cluster.network import Network, NetworkConfig
+from repro.cluster import packet
 from repro.cluster.node import Node
 from repro.cluster.packet import REQUEST
 from repro.faults import RpcCaller, RpcPolicy
@@ -16,9 +17,9 @@ def mk_request(net, request_id=1, dst="b"):
 
 
 def respond(net, pkt, src, *, error=False):
-    """What a server does at completion: reply, then release the request."""
-    net.send(net.pool.make_response(pkt, src=src, error=error))
-    net.pool.release(pkt)
+    """What a server does at completion: send the request back as its
+    response, which the network releases after delivering it."""
+    net.send(packet.respond(pkt, src, error))
 
 
 @pytest.fixture

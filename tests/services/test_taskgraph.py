@@ -201,3 +201,15 @@ class TestAppSpec:
     def test_invalid_pool_size_rejected(self):
         with pytest.raises(ValueError):
             EdgeSpec("c", 0)
+
+    @pytest.mark.parametrize("size", [math.nan, 2.5, math.inf, True])
+    def test_pool_size_must_be_an_int(self, size):
+        # A NaN pool never grants a connection and 2.5 grants three: both
+        # used to be accepted and fail or mislead only in the run.
+        with pytest.raises(ValueError, match="^pool_size must be"):
+            EdgeSpec("c", size)
+
+    @pytest.mark.parametrize("cores", [math.nan, math.inf])
+    def test_initial_cores_must_be_finite(self, cores):
+        with pytest.raises(ValueError, match="^initial_cores must be"):
+            ServiceSpec("s", WorkDist(1e6), initial_cores=cores)
